@@ -34,6 +34,9 @@ from . import rng
 
 _SUM_TOL = 1e-9
 _SPAN = 1 << 64
+# Pairs the min coupler scans before giving up on a vector with no
+# acceptable mass; a distribution accepts each pair with probability 1/q.
+_MAX_MIN_DRAWS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,26 +116,27 @@ def couple_probs(kind: CouplerKind, probs: np.ndarray, seed: int, stream: int) -
 def _min_couple(probs: np.ndarray, seed: int, stream: int) -> int:
     q = len(probs)
     limit = _reject_limit(q)
-    draw = 0
-    while True:
-        wx = rng.word64(seed, stream, 2 * draw)
-        wp = rng.word64(seed, stream, 2 * draw + 1)
-        draw += 1
+    key = rng.stream_key(seed, stream)
+    mix64 = rng.mix64
+    for draw in range(_MAX_MIN_DRAWS + 1):
+        wx = mix64(key ^ (2 * draw))
         if wx >= limit:
             continue
         x = wx % q
-        if rng.unit_float(wp) <= probs[x]:
+        if rng.unit_float(mix64(key ^ (2 * draw + 1))) <= probs[x]:
             return x
+    raise RuntimeError("min coupler failed to terminate")
 
 
 def _gumbel_couple(probs: np.ndarray, seed: int, stream: int) -> int:
+    key = rng.stream_key(seed, stream)
     best = -1
     best_ratio = math.inf
     for x in range(len(probs)):
         p = probs[x]
         if p <= 0.0:
             continue
-        u = rng.unit_float(rng.word64(seed, stream, x))
+        u = rng.unit_float(rng.mix64(key ^ x))
         ratio = math.inf if u == 0.0 else -math.log(u) / p
         if ratio < best_ratio:
             best_ratio = ratio
@@ -217,7 +221,7 @@ def min_coupler_batch(mu: Distribution, seeds, coordinate: int) -> np.ndarray:
         out[active[accept]] = x[accept]
         active = active[~accept]
         draw += 1
-        if draw > 1_000_000:
+        if draw > _MAX_MIN_DRAWS:
             raise RuntimeError("min coupler failed to terminate")
     return out
 

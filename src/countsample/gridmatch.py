@@ -149,6 +149,9 @@ class GridMatchingOracle(ConditionalOracle):
     matching edge at that vertex points in ``DIRECTIONS[d]``.  A symbol is
     assigned the count of perfect matchings consistent with the forced
     edges, so off-grid directions and clashing edges carry zero mass.
+
+    Matching counts are memoized per forced vertex set in ``_cache``, which
+    is unbounded: it grows with every pinning not queried before.
     """
 
     variant = "grid"

@@ -12,9 +12,11 @@ Concrete families:
 
 * ``TableOracle``       -- explicit joint table, summation (ground truth).
 * ``ProductOracle``     -- independent coordinates.
-* ``MarkovChainOracle`` -- exact chain conditionals in O(q^2 log n) per
-                           query via precomputed range products; the
-                           designated family for scaling experiments.
+* ``MarkovChainOracle`` -- exact chain conditionals via precomputed range
+                           products: O(log|pins| + q^2 log n) per session
+                           query, O(|pins| + q^2 log n) per reference
+                           ``_marginal_probs`` call; the designated family
+                           for scaling experiments.
 * ``PairCopyOracle``    -- even coordinates copy their predecessor; the
                            worst case for prefix-window samplers under the
                            identity permutation.
@@ -26,16 +28,23 @@ Concrete families:
 ``GridMatchingOracle`` (separator-column marginals of uniform grid perfect
 matchings) lives in ``gridmatch`` and shares this module's base class.
 
-Instances are immutable after construction and queries are read-only, so
-any number of concurrent callers is safe.
+The samplers query through conditioning sessions (:class:`PinningSession`):
+a pinning that grows one coordinate at a time and answers marginals under
+it, bit-identical to ``_marginal_probs`` on the same pins.  Families whose
+answer can reuse the previous pinning override ``session``.
+
+Queries never change an oracle's answers.  They are not all read-only:
+``GridMatchingOracle`` memoizes matching counts in ``_cache``, which grows
+with every pinning it has not seen before.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -107,6 +116,31 @@ class MarginalQuery:
             raise MalformedQuery(f"target coordinate {self.target} is pinned")
 
 
+class PinningSession:
+    """A pinning that grows one coordinate at a time, queried in place.
+
+    ``pin`` adds (or overwrites) one coordinate, ``marginal`` answers the
+    target's conditional under the current pins, and ``fork`` returns an
+    independent copy.  Inputs are trusted, as for ``_marginal_probs``, whose
+    answer (and ``ZeroMeasurePinning``) this default session returns.
+    """
+
+    __slots__ = ("_oracle", "_pins")
+
+    def __init__(self, oracle: "ConditionalOracle", pins: dict[int, int]) -> None:
+        self._oracle = oracle
+        self._pins = pins
+
+    def pin(self, coord: int, sym: int) -> None:
+        self._pins[coord] = sym
+
+    def marginal(self, target: int) -> np.ndarray:
+        return self._oracle._marginal_probs(target, self._pins)
+
+    def fork(self) -> "PinningSession":
+        return PinningSession(self._oracle, dict(self._pins))
+
+
 class ConditionalOracle(ABC):
     """Interface every oracle family implements.
 
@@ -118,6 +152,13 @@ class ConditionalOracle(ABC):
     variant: str = "abstract"
     n: int
     q: int
+
+    def session(
+        self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
+    ) -> PinningSession:
+        """A conditioning session starting from ``base`` (a mapping or
+        (coordinate, symbol) pairs)."""
+        return PinningSession(self, dict(base))
 
     def conditional_marginal(self, query: MarginalQuery) -> Distribution:
         """Exact vector ``(P[X_target = x | pinning])_x``."""
@@ -254,8 +295,11 @@ class MarkovChainOracle(ConditionalOracle):
     Conditioning factorizes through the nearest pinned neighbors, so each
     marginal needs only the transition product over two index ranges.
     Range products are assembled from a doubling table built once at
-    construction, giving O(q^2 log n) per query and a canonical float
-    computation independent of pinning insertion order.
+    construction, a canonical float computation independent of pinning
+    insertion order.  A session keeps its pinned coordinates sorted and
+    finds the neighbors by bisection, O(log|pins| + q^2 log n) per query;
+    the reference ``_marginal_probs`` scans every pin, O(|pins| + q^2 log n).
+    Both finish in ``_marginal_from``, so their answers are bit-identical.
     """
 
     variant = "markov"
@@ -323,8 +367,20 @@ class MarkovChainOracle(ConditionalOracle):
             int(right.min()) if right.size else None,
         )
 
+    def session(
+        self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
+    ) -> "_MarkovSession":
+        pins = dict(base)
+        return _MarkovSession(self, pins, sorted(pins))
+
     def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
         left, right = self._neighbors(target, pins)
+        return self._marginal_from(target, left, right, pins)
+
+    def _marginal_from(
+        self, target: int, left: int | None, right: int | None, pins: Mapping[int, int]
+    ) -> np.ndarray:
+        """Marginal of ``target`` given its nearest pinned neighbors."""
         if left is None:
             base = self._pi[target]
         else:
@@ -362,6 +418,32 @@ class MarkovChainOracle(ConditionalOracle):
                 [[float(v) for v in row] for row in mat] for mat in self._transitions
             ],
         }
+
+
+class _MarkovSession(PinningSession):
+    """Markov session: pinned coordinates kept sorted for bisection."""
+
+    __slots__ = ("_keys",)
+
+    def __init__(self, oracle: MarkovChainOracle, pins: dict[int, int], keys: list[int]) -> None:
+        super().__init__(oracle, pins)
+        self._keys = keys
+
+    def pin(self, coord: int, sym: int) -> None:
+        if coord not in self._pins:
+            insort(self._keys, coord)
+        self._pins[coord] = sym
+
+    def marginal(self, target: int) -> np.ndarray:
+        keys = self._keys
+        lo = bisect_left(keys, target)
+        hi = bisect_right(keys, target, lo)
+        left = keys[lo - 1] if lo else None
+        right = keys[hi] if hi < len(keys) else None
+        return self._oracle._marginal_from(target, left, right, self._pins)
+
+    def fork(self) -> "_MarkovSession":
+        return _MarkovSession(self._oracle, dict(self._pins), list(self._keys))
 
 
 class PairCopyOracle(ConditionalOracle):

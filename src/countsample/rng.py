@@ -34,11 +34,19 @@ def mix64(z: int) -> int:
     return z ^ (z >> 33)
 
 
+def stream_key(seed: int, stream: int) -> int:
+    """The 64-bit key of the (seed, stream) word stream.
+
+    Word ``counter`` of the stream is ``mix64(key ^ counter)``; callers that
+    draw many words from one tape compute the key once.
+    """
+    z = mix64((seed & _MASK) ^ _SEED_TAG)
+    return mix64(z ^ (stream & _MASK) ^ _STREAM_TAG)
+
+
 def word64(seed: int, stream: int, counter: int) -> int:
     """The ``counter``-th 64-bit word of the stream keyed by (seed, stream)."""
-    z = mix64((seed & _MASK) ^ _SEED_TAG)
-    z = mix64(z ^ (stream & _MASK) ^ _STREAM_TAG)
-    return mix64(z ^ (counter & _MASK))
+    return mix64(stream_key(seed, stream) ^ (counter & _MASK))
 
 
 def unit_float(word: int) -> float:

@@ -9,6 +9,10 @@ this recursion directly; the parallel samplers reach the same fixed point
 in fewer rounds by guessing whole suffixes from the current pinning and
 verifying the guesses against their own prefixes with the same tapes.
 
+Every query goes through a conditioning session (``oracle.session()``):
+the settled pinning is one session, and each verify pass pins its guesses
+into a fork of it (windowed mode) or into a fresh session (parallel mode).
+
 Per-round trace records make the round/query accounting inspectable:
 ``a_history`` is the settled-prefix length after each counted round and is
 strictly increasing in every run.
@@ -24,9 +28,26 @@ from typing import Mapping
 
 from . import rng
 from .coupler import CouplerKind, couple_probs
-from .oracle import ConditionalOracle, ZeroMeasurePinning
+from .oracle import ConditionalOracle, OracleError, ZeroMeasurePinning
 
 AUTO = None
+
+
+class InconsistentOracle(OracleError):
+    """A verify pass met a zero-measure pinning that no earlier mismatch
+    explains, so the oracle contradicts its own earlier answers.
+
+    ``round_index`` is the 1-based round and ``position`` the 1-based
+    permutation position whose verify query had zero measure.
+    """
+
+    def __init__(self, round_index: int, position: int) -> None:
+        super().__init__(
+            f"round {round_index}: zero-measure verify pinning at position "
+            f"{position} without an earlier mismatch"
+        )
+        self.round_index = round_index
+        self.position = position
 
 
 class Mode(enum.Enum):
@@ -166,14 +187,13 @@ def sequential_sample(
     perm = _resolve_permutation(config, n)
     seed, kind = config.seed, config.coupler
     values = [0] * n
-    pins: dict[int, int] = {}
+    session = oracle.session()
     records = []
     for i in range(1, n + 1):
         coord = perm[i - 1]
-        probs = oracle._marginal_probs(coord, pins)
-        symbol = couple_probs(kind, probs, seed, i)
+        symbol = couple_probs(kind, session.marginal(coord), seed, i)
         values[coord] = symbol
-        pins[coord] = symbol
+        session.pin(coord, symbol)
         records.append(RoundRecord(batch_size=1, guessed=(i,), first_mismatch=None))
     trace = SamplerTrace(
         rounds=n,
@@ -206,7 +226,7 @@ def parallel_sample(
     seed, kind = config.seed, config.coupler
     a = 0
     x_prev: list[int] | None = None
-    pins_settled: dict[int, int] = {}
+    settled = oracle.session()
     records: list[RoundRecord] = []
     a_history: list[int] = []
     total_queries = 0
@@ -216,25 +236,24 @@ def parallel_sample(
         y = list(x_prev) if x_prev is not None else [0] * n
         for i in range(a + 1, n + 1):
             coord = perm[i - 1]
-            probs = oracle._marginal_probs(coord, pins_settled)
-            y[coord] = couple_probs(kind, probs, seed, i)
+            y[coord] = couple_probs(kind, settled.marginal(coord), seed, i)
             queries_this += 1
 
         x = [0] * n
-        pins_verify: dict[int, int] = {}
+        verify = oracle.session()
         first_dead = None
         for i in range(1, n + 1):
             coord = perm[i - 1]
             queries_this += 1
             try:
-                probs = oracle._marginal_probs(coord, pins_verify)
+                probs = verify.marginal(coord)
             except ZeroMeasurePinning:
                 if first_dead is None:
                     first_dead = i
                 x[coord] = y[coord]
             else:
                 x[coord] = couple_probs(kind, probs, seed, i)
-            pins_verify[coord] = y[coord]
+            verify.pin(coord, y[coord])
 
         total_queries += queries_this
         guessed = tuple(range(a + 1, n + 1))
@@ -244,7 +263,7 @@ def parallel_sample(
                 mismatch = i
                 break
         if first_dead is not None and not (mismatch is not None and mismatch < first_dead):
-            raise AssertionError("zero-measure verify pinning without an earlier mismatch")
+            raise InconsistentOracle(len(records) + 1, first_dead)
 
         if mismatch is None:
             records.append(RoundRecord(queries_this, guessed, None))
@@ -252,7 +271,7 @@ def parallel_sample(
         records.append(RoundRecord(queries_this, guessed, mismatch))
         a_history.append(mismatch)
         for j in range(a + 1, mismatch + 1):
-            pins_settled[perm[j - 1]] = x[perm[j - 1]]
+            settled.pin(perm[j - 1], x[perm[j - 1]])
         a = mismatch
         if a == n:
             break
@@ -285,7 +304,7 @@ def efficient_sample(
 
     a = 0
     values = [0] * n
-    pins_settled: dict[int, int] = {}
+    settled = oracle.session()
     records: list[RoundRecord] = []
     a_history: list[int] = []
     total_queries = 0
@@ -296,23 +315,22 @@ def efficient_sample(
         guesses: dict[int, int] = {}
         for i in window:
             coord = perm[i - 1]
-            probs = oracle._marginal_probs(coord, pins_settled)
-            guesses[i] = couple_probs(kind, probs, seed, i)
+            guesses[i] = couple_probs(kind, settled.marginal(coord), seed, i)
 
-        pins_verify = dict(pins_settled)
+        verify = settled.fork()
         verified: dict[int, int] = {}
         first_dead = None
         for i in window:
             coord = perm[i - 1]
             try:
-                probs = oracle._marginal_probs(coord, pins_verify)
+                probs = verify.marginal(coord)
             except ZeroMeasurePinning:
                 if first_dead is None:
                     first_dead = i
                 verified[i] = guesses[i]
             else:
                 verified[i] = couple_probs(kind, probs, seed, i)
-            pins_verify[coord] = guesses[i]
+            verify.pin(coord, guesses[i])
 
         batch = 2 * len(window)
         total_queries += batch
@@ -322,13 +340,13 @@ def efficient_sample(
                 mismatch = i
                 break
         if first_dead is not None and not (mismatch is not None and mismatch < first_dead):
-            raise AssertionError("zero-measure verify pinning without an earlier mismatch")
+            raise InconsistentOracle(len(records) + 1, first_dead)
 
         a_new = mismatch if mismatch is not None else w_end
         for j in range(a + 1, a_new + 1):
             coord = perm[j - 1]
             values[coord] = verified[j]
-            pins_settled[coord] = verified[j]
+            settled.pin(coord, verified[j])
         records.append(RoundRecord(batch, tuple(window), mismatch))
         a_history.append(a_new)
         a = a_new

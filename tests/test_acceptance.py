@@ -377,7 +377,10 @@ class TestCriterion10NoInfoStructure:
         passed = not failures
         detail = "; ".join(
             f"block {b['block']} (a={b['a']}): "
-            + ", ".join(f"d={e['d']}:{e['frequency']:.4f}>={e['bound']:.4f}" for e in b["below"])
+            + ", ".join(
+                f"d={e['d']}:{e['frequency']:.4f}>={e['bound'] - 3 * e['standard_error']:.4f}"
+                for e in b["below"]
+            )
             for b in report["blocks"]
         )
         _report(10, "no-info-structure", passed, detail + (f"; failures {failures}" if failures else ""))

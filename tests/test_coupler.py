@@ -13,6 +13,7 @@ from countsample.coupler import (
     RandomTape,
     couple,
     couple_batch,
+    couple_probs,
     gumbel_trick,
     min_coupler,
     trace_gumbel,
@@ -106,6 +107,10 @@ class TestDispatch:
         for kind, value in golden.items():
             for _ in range(3):
                 assert couple(kind, mu, tape) == value
+
+    def test_min_coupler_without_acceptable_mass_is_bounded(self):
+        with pytest.raises(RuntimeError, match="failed to terminate"):
+            couple_probs(CouplerKind.MIN_COUPLER, np.zeros(2), 5, 1)
 
 
 class TestBatchEqualsScalar:

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_configs
 from countsample.diagnostics import joint_table
 from countsample.families import (
+    grid,
     pair_copy,
     random_affine,
     random_product,
@@ -14,6 +17,7 @@ from countsample.families import (
     sticky_markov,
 )
 from countsample.gf2 import BitMatrix, BitVector
+from countsample.hardness import generate, marginal_oracle_view
 from countsample.oracle import (
     AffineCodeOracle,
     ApproximateOracle,
@@ -319,3 +323,105 @@ class TestMarkov:
             np.testing.assert_allclose(
                 oracle._marginal_probs(i, {}), table.sum(axis=axes), atol=1e-9
             )
+
+
+def _session_families():
+    # Sparse members put zero-measure pinnings within reach of random pins.
+    cyclic = np.array([[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]] * 11)
+    return [
+        ("table", random_table(4, 2, seed=3)),
+        ("table-sparse", TableOracle(3, 2, [0.25, 0.0, 0.25, 0.0, 0.0, 0.25, 0.0, 0.25])),
+        ("product", random_product(6, 3, seed=1)),
+        ("product-sparse", ProductOracle([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])),
+        ("markov", sticky_markov(40, 3, seed=6)),
+        ("markov-sparse", MarkovChainOracle([1.0, 0.0, 0.0], cyclic)),
+        ("paircopy", pair_copy(8, 3)),
+        ("affine", random_affine(8, 4, seed=7)),
+        ("grid", grid(4, 4)),
+        ("hardness", marginal_oracle_view(generate(16, 1.0, 6, override=(2, 8, [2, 4])))),
+        ("approximate", approximate_wrap(random_table(4, 2, seed=9), 0.3, 0.05, seed=2)),
+    ]
+
+
+SESSION_FAMILIES = _session_families()
+
+
+def _answer(ask, target):
+    """Exact bytes of a marginal, or the marker of a zero-measure pinning."""
+    try:
+        return ask(target).tobytes()
+    except ZeroMeasurePinning:
+        return "zero-measure"
+
+
+def _draw_pins(data, oracle):
+    """A random pinning as (coordinate, symbol) pairs in random order, plus
+    the coordinates left free (also in random order)."""
+    coords = data.draw(st.permutations(range(oracle.n)))
+    k = data.draw(st.integers(0, oracle.n - 1))
+    syms = data.draw(st.lists(st.integers(0, oracle.q - 1), min_size=k, max_size=k))
+    return list(zip(coords[:k], syms)), coords[k:]
+
+
+class TestSessions:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_session_is_bit_identical_to_reference(self, data):
+        label, oracle = data.draw(st.sampled_from(SESSION_FAMILIES))
+        pairs, free = _draw_pins(data, oracle)
+        session = oracle.session()
+        pins: dict[int, int] = {}
+        for coord, sym in pairs:
+            target = data.draw(st.sampled_from(free))
+            assert _answer(session.marginal, target) == _answer(
+                lambda t: oracle._marginal_probs(t, pins), target
+            ), label
+            session.pin(coord, sym)
+            pins[coord] = sym
+        reference = dict(sorted(pins.items()))
+        from_base = oracle.session(reversed(pairs))
+        for target in free:
+            expected = _answer(lambda t: oracle._marginal_probs(t, reference), target)
+            assert _answer(session.marginal, target) == expected, label
+            assert _answer(from_base.marginal, target) == expected, label
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_fork_is_independent_of_its_parent(self, data):
+        label, oracle = data.draw(st.sampled_from(SESSION_FAMILIES))
+        pairs, free = _draw_pins(data, oracle)
+        split = data.draw(st.integers(0, len(pairs)))
+        parent = oracle.session(pairs[:split])
+        child = parent.fork()
+        parent_pins, child_pins = dict(pairs[:split]), dict(pairs[:split])
+        # The rest goes to one side or the other, never both.
+        for coord, sym in pairs[split:]:
+            if data.draw(st.booleans()):
+                parent.pin(coord, sym)
+                parent_pins[coord] = sym
+            else:
+                child.pin(coord, sym)
+                child_pins[coord] = sym
+        for target in free:
+            for session, pins in ((parent, parent_pins), (child, child_pins)):
+                assert _answer(session.marginal, target) == _answer(
+                    lambda t: oracle._marginal_probs(t, pins), target
+                ), label
+
+    def test_zero_measure_on_both_paths(self):
+        oracle = dict(SESSION_FAMILIES)["markov-sparse"]
+        # The chain starts in state 0, and 0 -> 2 is impossible.
+        pins = {1: 2, 6: 0}
+        with pytest.raises(ZeroMeasurePinning):
+            oracle._marginal_probs(0, pins)
+        with pytest.raises(ZeroMeasurePinning):
+            oracle.session(pins).marginal(0)
+
+    def test_markov_session_repin_keeps_one_key(self):
+        oracle = sticky_markov(10, 2, seed=4)
+        session = oracle.session({3: 0})
+        session.pin(3, 1)
+        session.pin(7, 0)
+        expected = oracle._marginal_probs(5, {3: 1, 7: 0})
+        assert session.marginal(5).tobytes() == expected.tobytes()
+        assert session.marginal(8).tobytes() == oracle._marginal_probs(8, {3: 1, 7: 0}).tobytes()

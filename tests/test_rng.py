@@ -1,6 +1,10 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countsample import rng
+
+WORD = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 def test_word64_deterministic():
@@ -66,3 +70,12 @@ def test_permutation_uniform_first_element():
 def test_derive_seeds_distinct():
     seeds = rng.derive_seeds(42, 1000)
     assert len(set(int(s) for s in seeds)) == 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(WORD, st.integers(min_value=-(2**63), max_value=2**64 - 1), WORD)
+def test_stream_key_hoist_matches_word64(seed, stream, counter):
+    word = rng.mix64(rng.stream_key(seed, stream) ^ counter)
+    assert word == rng.word64(seed, stream, counter)
+    # The vectorized path derives the key on its own.
+    assert word == int(rng.word64_np(np.uint64(seed), stream, np.uint64(counter)))

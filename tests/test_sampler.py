@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,14 @@ from countsample.families import (
     random_table,
     sticky_markov,
 )
-from countsample.oracle import approximate_wrap
+from countsample.oracle import (
+    ConditionalOracle,
+    OracleError,
+    ZeroMeasurePinning,
+    approximate_wrap,
+)
 from countsample.sampler import (
+    InconsistentOracle,
     Mode,
     PermutationMode,
     RoundRecord,
@@ -259,3 +267,38 @@ def test_run_sampler_dispatch():
         sample, trace = run_sampler(oracle, SamplerConfig(seed=1, mode=mode))
         assert isinstance(sample, Sample)
         assert trace.rounds >= 1
+
+
+class _ForgetfulOracle(ConditionalOracle):
+    """Uniform under up to ``limit - 1`` pins and zero measure under more:
+    an oracle that contradicts its own earlier answers."""
+
+    variant = "forgetful"
+
+    def __init__(self, n: int, limit: int) -> None:
+        self.n = n
+        self.q = 2
+        self.limit = limit
+
+    def _marginal_probs(self, target, pins):
+        if len(pins) >= self.limit:
+            raise ZeroMeasurePinning("forgot the earlier answers")
+        return np.array([0.5, 0.5])
+
+    def _log_probability(self, pins):
+        return -len(pins) * math.log(2.0) if len(pins) < self.limit else -math.inf
+
+    def to_json(self):
+        return {"variant": self.variant}
+
+
+@pytest.mark.parametrize(
+    "mode,theta,where",
+    [(Mode.PARALLEL, None, (1, 4)), (Mode.EFFICIENT, 2, (2, 4))],
+)
+def test_unexplained_zero_measure_is_typed(mode, theta, where):
+    config = SamplerConfig(seed=3, mode=mode, theta=theta)
+    with pytest.raises(InconsistentOracle) as info:
+        run_sampler(_ForgetfulOracle(6, limit=3), config)
+    assert isinstance(info.value, OracleError)
+    assert (info.value.round_index, info.value.position) == where
