@@ -33,9 +33,8 @@ a pinning that grows one coordinate at a time and answers marginals under
 it, bit-identical to ``_marginal_probs`` on the same pins.  Families whose
 answer can reuse the previous pinning override ``session``.
 
-Queries never change an oracle's answers.  They are not all read-only:
-``GridMatchingOracle`` memoizes matching counts in ``_cache``, which grows
-with every pinning it has not seen before.
+Queries are read-only: every family answers from state built in its
+constructor, so no query changes an oracle or its later answers.
 """
 
 from __future__ import annotations
@@ -394,6 +393,12 @@ class MarkovChainOracle(ConditionalOracle):
             raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
         return weights / total
 
+    def _check_pinning_measure(self, pins: Mapping[int, int]) -> None:
+        # A marginal reads only the target's two nearest pins, so it cannot
+        # see a zero-measure step between two other pins.
+        if self._log_probability(pins) == -math.inf:
+            raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
+
     def _log_probability(self, pins: Mapping[int, int]) -> float:
         if not pins:
             return 0.0
@@ -528,14 +533,8 @@ class AffineCodeOracle(ConditionalOracle):
             return np.array([0.0, 1.0])
         if c1 is None:
             return np.array([1.0, 0.0])
-        diff = c1 - c0
-        if diff >= 60:
-            return np.array([0.0, 1.0])
-        if diff <= -60:
-            return np.array([1.0, 0.0])
-        ratio = 2.0**diff
-        p1 = ratio / (1.0 + ratio)
-        return np.array([1.0 - p1, p1])
+        # Both restrictions of an affine support are cosets of one subspace.
+        return np.array([0.5, 0.5])
 
     def _log_probability(self, pins: Mapping[int, int]) -> float:
         count = solve_affine_with_pinning(self.matrix, self.rhs, pins.items())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_count, enumerate_perfect_matchings
+from countsample.coupler import Distribution
 from countsample.gridmatch import (
     DIRECTIONS,
     GridMatchingOracle,
@@ -149,3 +150,210 @@ def test_log_probability_matches_ratio():
     pins = {0: config[0]}
     expected = sum(v for k, v in dist.items() if k[0] == config[0])
     assert math.exp(oracle.joint_probability(Pinning(pins))) == pytest.approx(expected)
+
+
+# -- table against the per-query DP ----------------------------------------
+#
+# The reference below is the matching DP on the vertices the pinned edges
+# force, one ``match_count`` call per direction.  The table must give the
+# same floats, byte for byte, because a one-ULP change in a marginal can
+# flip a coupler comparison.
+
+LEFT, RIGHT, UP, DOWN = range(4)
+
+
+def forced_vertices(oracle: GridMatchingOracle, pins) -> frozenset | None:
+    """Vertices matched by the pinned edges, or None when an edge leaves the
+    grid or two edges share a vertex."""
+    edges = set()
+    for row, direction in pins.items():
+        dx, dy = DIRECTIONS[direction]
+        x, y = oracle.sep_col + dx, row + dy
+        if not (0 <= x < oracle.w and 0 <= y < oracle.h):
+            return None
+        edges.add(frozenset({(oracle.sep_col, row), (x, y)}))
+    used: set = set()
+    for edge in edges:
+        if used & edge:
+            return None
+        used |= edge
+    return frozenset(used)
+
+
+def dp_count(oracle: GridMatchingOracle, pins) -> int:
+    vertices = forced_vertices(oracle, pins)
+    return 0 if vertices is None else match_count(oracle.w, oracle.h, vertices)
+
+
+def dp_marginal(oracle: GridMatchingOracle, target: int, pins) -> np.ndarray:
+    if forced_vertices(oracle, pins) is None:
+        raise ZeroMeasurePinning("pinned separator edges clash")
+    weights = np.zeros(4)
+    for d in range(4):
+        weights[d] = float(dp_count(oracle, {**pins, target: d}))
+    total = weights.sum()
+    if total <= 0.0:
+        raise ZeroMeasurePinning("no perfect matching is consistent with the pinning")
+    return weights / total
+
+
+def dp_log_probability(oracle: GridMatchingOracle, pins) -> float:
+    count = dp_count(oracle, pins)
+    if count == 0:
+        return -math.inf
+    return math.log(count) - math.log(match_count(oracle.w, oracle.h))
+
+
+def answer(ask, *args):
+    """Exact bytes of a marginal, or the marker of a zero-measure pinning."""
+    try:
+        return ask(*args).tobytes()
+    except ZeroMeasurePinning:
+        return "zero-measure"
+
+
+def random_pinnings(oracle: GridMatchingOracle, count: int, seed: int):
+    """(target, pins) pairs: half walk the measure so the pins are
+    consistent, half pin arbitrary directions."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        rows = [int(r) for r in rng.permutation(oracle.h)]
+        k = int(rng.integers(0, oracle.h))
+        pins: dict[int, int] = {}
+        for row in rows[1 : k + 1]:
+            if i % 2:
+                pins[row] = int(rng.integers(0, 4))
+                continue
+            probs = dp_marginal(oracle, row, pins)
+            pins[row] = int(rng.choice(4, p=probs))
+        yield rows[0], pins
+
+
+def assert_table_matches_dp(oracle: GridMatchingOracle, target: int, pins) -> None:
+    label = (oracle.w, oracle.h, target, pins)
+    expected = answer(dp_marginal, oracle, target, pins)
+    assert answer(oracle._marginal_probs, target, pins) == expected, label
+    assert answer(oracle.session(pins).marginal, target) == expected, label
+    public = oracle.joint_probability(Pinning(pins))
+    assert public == dp_log_probability(oracle, pins), label
+    if expected == "zero-measure":
+        with pytest.raises(ZeroMeasurePinning):
+            oracle.conditional_marginal(MarginalQuery(target, Pinning(pins)))
+    else:
+        got = oracle.conditional_marginal(MarginalQuery(target, Pinning(pins))).probs
+        want = Distribution(dp_marginal(oracle, target, pins)).probs
+        assert got.tobytes() == want.tobytes(), label
+
+
+SMALL_GRIDS = [(w, h) for w in range(1, 7) for h in range(1, 7) if (w * h) % 2 == 0]
+
+
+class TestTableAgainstDP:
+    @pytest.mark.parametrize("w,h", SMALL_GRIDS)
+    def test_small_grids(self, w, h):
+        oracle = GridMatchingOracle(w, h)
+        assert oracle._total == match_count(w, h)
+        for target in range(h):
+            assert_table_matches_dp(oracle, target, {})
+        for target, pins in random_pinnings(oracle, 24, seed=w * 10 + h):
+            assert_table_matches_dp(oracle, target, pins)
+
+    @pytest.mark.parametrize("w,h,count", [(6, 10, 24), (8, 12, 6), (76, 2, 6), (22, 6, 6)])
+    def test_large_grids(self, w, h, count):
+        oracle = GridMatchingOracle(w, h)
+        assert oracle._total == match_count(w, h)
+        for target, pins in random_pinnings(oracle, count, seed=w + h):
+            assert_table_matches_dp(oracle, target, pins)
+
+    def test_clashing_pins(self):
+        # 4x3, separator x=1: row 0 down and row 1 right both cover (1, 1).
+        oracle = GridMatchingOracle(4, 3)
+        assert_table_matches_dp(oracle, 2, {0: DOWN, 1: RIGHT})
+        # Two rows claiming the same left neighbour is impossible too.
+        assert_table_matches_dp(oracle, 2, {0: DOWN, 1: DOWN})
+
+    @pytest.mark.parametrize(
+        "w,h,pins",
+        [
+            (2, 2, {0: LEFT}),  # sep_col == 0: no column to the left
+            (1, 4, {1: RIGHT}),  # one column: no column to the right
+            (4, 4, {0: UP}),  # above the first row
+            (4, 4, {3: DOWN}),  # below the last row
+        ],
+    )
+    def test_off_grid_pins(self, w, h, pins):
+        oracle = GridMatchingOracle(w, h)
+        for target in set(range(h)) - set(pins):
+            assert_table_matches_dp(oracle, target, pins)
+
+    @pytest.mark.parametrize("w,h", [(2, 2), (4, 4), (3, 4), (6, 10)])
+    def test_two_rows_sharing_one_edge(self, w, h):
+        oracle = GridMatchingOracle(w, h)
+        for target in range(2, h):
+            assert_table_matches_dp(oracle, target, {0: DOWN, 1: UP})
+        assert oracle.joint_probability(Pinning({0: DOWN, 1: UP})) > -math.inf
+
+    def test_session_repins_a_row(self):
+        oracle = GridMatchingOracle(6, 10)
+        session = oracle.session({4: DOWN})
+        session.pin(7, RIGHT)
+        session.pin(4, LEFT)
+        session.pin(7, UP)
+        pins = {4: LEFT, 7: UP}
+        for target in (0, 5, 6, 9):
+            assert answer(session.marginal, target) == answer(dp_marginal, oracle, target, pins)
+
+    def test_fork_answers_from_its_own_pins(self):
+        oracle = GridMatchingOracle(4, 6)
+        parent = oracle.session({0: DOWN, 1: UP})
+        child = parent.fork()
+        parent.pin(2, RIGHT)
+        child.pin(2, LEFT)
+        child.pin(5, UP)
+        # A repin recomputes from the session's own pins, not the child's.
+        parent.pin(2, RIGHT)
+        for target in (3, 4):
+            assert answer(parent.marginal, target) == answer(
+                dp_marginal, oracle, target, {0: DOWN, 1: UP, 2: RIGHT}
+            )
+            assert answer(child.marginal, target) == answer(
+                dp_marginal, oracle, target, {0: DOWN, 1: UP, 2: LEFT, 5: UP}
+            )
+
+    def test_queries_leave_the_table_unchanged(self):
+        oracle = GridMatchingOracle(4, 4)
+        before = (oracle._weights.tobytes(), oracle._dirs.tobytes())
+        session = oracle.session({0: RIGHT})
+        session.pin(2, DOWN)
+        session.fork().pin(3, UP)
+        oracle._marginal_probs(1, {0: RIGHT})
+        oracle.joint_probability(Pinning({3: LEFT}))
+        assert (oracle._weights.tobytes(), oracle._dirs.tobytes()) == before
+
+
+class TestLimits:
+    @pytest.mark.parametrize(
+        "w,h,too_wide,overflow",
+        [
+            # A 2-row grid of width w has Fib(w + 1) matchings: Fib(77) <
+            # 2**53 < Fib(79).  Counts past 1e308 overflow to inf.
+            (76, 2, 78, 3000),
+            (22, 6, 24, 600),
+        ],
+    )
+    def test_exactness_limit(self, w, h, too_wide, overflow):
+        assert GridMatchingOracle(w, h)._total == match_count(w, h) < 2**53
+        for wide in (too_wide, overflow):
+            with pytest.raises(ValueError, match=r"2\*\*53"):
+                GridMatchingOracle(wide, h)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            GridMatchingOracle(80, 2)
+
+    def test_row_limit(self):
+        with pytest.raises(ValueError, match="15 rows"):
+            GridMatchingOracle(2, 16)
+
+    def test_instances_build_their_own_tables(self):
+        first, second = GridMatchingOracle(4, 4), GridMatchingOracle(4, 4)
+        assert first._weights is not second._weights
+        assert first._dirs is not second._dirs

@@ -16,7 +16,7 @@ from countsample.families import (
     random_table,
     sticky_markov,
 )
-from countsample.gf2 import BitMatrix, BitVector
+from countsample.gf2 import BitMatrix, BitVector, solve_affine_with_pinning
 from countsample.hardness import generate, marginal_oracle_view
 from countsample.oracle import (
     AffineCodeOracle,
@@ -232,6 +232,21 @@ class TestAffine:
             for v in probs:
                 assert v in (0.0, 0.5, 1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_nonempty_pinned_cosets_have_equal_size(self, data):
+        n = data.draw(st.integers(1, 10))
+        oracle = random_affine(n, data.draw(st.integers(0, n)), data.draw(st.integers(0, 999)))
+        coords = data.draw(st.permutations(range(n)))
+        k = data.draw(st.integers(0, n - 1))
+        pins = [(c, data.draw(st.integers(0, 1))) for c in coords[:k]]
+        target = coords[k]
+        c0 = solve_affine_with_pinning(oracle.matrix, oracle.rhs, pins + [(target, 0)])
+        c1 = solve_affine_with_pinning(oracle.matrix, oracle.rhs, pins + [(target, 1)])
+        if c0 is not None and c1 is not None:
+            assert c0 == c1
+            assert oracle._marginal_probs(target, dict(pins)).tolist() == [0.5, 0.5]
+
     def test_inconsistent_system_rejected(self):
         with pytest.raises(ValueError):
             AffineCodeOracle(BitMatrix(2, (0b01, 0b01)), BitVector(2, 0b10))
@@ -315,6 +330,18 @@ class TestMarkov:
         expected = expected / expected.sum()
         np.testing.assert_allclose(oracle._marginal_probs(0, {2: 0}), expected, atol=1e-12)
 
+    def test_zero_measure_between_other_pins_raises(self):
+        # Every step is x -> x or x + 1 (mod 3), so 0 at 2 then 2 at 3 is
+        # impossible, although the target 5 only sees its neighbour 3.
+        cyclic = np.array([[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]] * 11)
+        oracle = MarkovChainOracle([1.0, 0.0, 0.0], cyclic)
+        pins = Pinning({2: 0, 3: 2})
+        assert oracle.joint_probability(pins) == -math.inf
+        with pytest.raises(ZeroMeasurePinning):
+            oracle.conditional_marginal(MarginalQuery(5, pins))
+        ok = oracle.conditional_marginal(MarginalQuery(5, Pinning({2: 0, 3: 1}))).probs
+        assert ok.tolist() == [0.25, 0.25, 0.5]
+
     def test_unconditional_marginal(self):
         oracle = sticky_markov(6, 2, seed=3)
         table = joint_table(oracle)
@@ -338,6 +365,8 @@ def _session_families():
         ("paircopy", pair_copy(8, 3)),
         ("affine", random_affine(8, 4, seed=7)),
         ("grid", grid(4, 4)),
+        ("grid-2x3", grid(2, 3)),
+        ("grid-3x4", grid(3, 4)),
         ("hardness", marginal_oracle_view(generate(16, 1.0, 6, override=(2, 8, [2, 4])))),
         ("approximate", approximate_wrap(random_table(4, 2, seed=9), 0.3, 0.05, seed=2)),
     ]
