@@ -6,12 +6,19 @@ distribution.  Feeding the same tape to nearby distributions yields equal
 outputs with high probability, which is what lets a guess-and-verify
 sampler accept whole batches of speculative draws at once.
 
-Two couplers are provided:
+Two kinds are provided (``CouplerKind``):
 
-* ``min_coupler``: scans i.i.d. pairs ``(x_k, p_k)`` uniform on
+* ``MIN_COUPLER``: scans i.i.d. pairs ``(x_k, p_k)`` uniform on
   ``[q] x [0, 1)`` and returns the first ``x_k`` with ``p_k <= mu(x_k)``.
-* ``gumbel_trick``: returns ``argmin_x r_x / mu(x)`` where ``r_x`` are
-  shared unit-exponential variates keyed per symbol.
+* ``GUMBEL_TRICK``: returns ``argmin_x r_x / mu(x)`` where ``r_x`` are
+  shared unit-exponential variates keyed per symbol; symbols with zero
+  mass never win, and ties break toward the lowest symbol.
+
+Each kind has one scalar entry, ``couple_probs(kind, probs, seed,
+stream)``, whose tape is the stream keyed by ``(seed, stream)``, and one
+batch entry over many seeds, ``couple_batch``, bit-identical to looping
+the scalar one.  ``trace_min_coupler`` and ``trace_gumbel`` apply the two
+rules to explicit variates, as references for the tests.
 
 Both satisfy the multi-distribution robustness bound
 
@@ -84,19 +91,6 @@ class Distribution:
         return cls(arr)
 
 
-@dataclass(frozen=True)
-class RandomTape:
-    """Identifies one lazy random stream: the tape for coordinate position
-    ``coordinate`` of the run seeded by ``seed``.
-
-    Successive derived values are a pure function of (seed, coordinate,
-    draw counter), so the same tape replays identically across rounds.
-    """
-
-    seed: int
-    coordinate: int
-
-
 class CouplerKind(enum.Enum):
     MIN_COUPLER = "min"
     GUMBEL_TRICK = "gumbel"
@@ -107,10 +101,13 @@ def _reject_limit(q: int) -> int:
 
 
 def couple_probs(kind: CouplerKind, probs: np.ndarray, seed: int, stream: int) -> int:
-    """Hot-path coupling on a raw (already normalized) probability vector."""
+    """Couple a normalized probability vector against the tape keyed by
+    ``(seed, stream)``; over seeds, the output's law is ``probs``."""
     if kind is CouplerKind.MIN_COUPLER:
         return _min_couple(probs, seed, stream)
-    return _gumbel_couple(probs, seed, stream)
+    if kind is CouplerKind.GUMBEL_TRICK:
+        return _gumbel_couple(probs, seed, stream)
+    raise ValueError(f"unknown coupler kind: {kind!r}")
 
 
 def _min_couple(probs: np.ndarray, seed: int, stream: int) -> int:
@@ -144,31 +141,6 @@ def _gumbel_couple(probs: np.ndarray, seed: int, stream: int) -> int:
     return best
 
 
-def min_coupler(mu: Distribution, tape: RandomTape) -> int:
-    """First-accepted-pair coupler; marginal over seeds equals ``mu``."""
-    return _min_couple(mu.probs, tape.seed, tape.coordinate)
-
-
-def gumbel_trick(mu: Distribution, tape: RandomTape) -> int:
-    """Argmin-of-scaled-exponentials coupler; marginal equals ``mu``.
-
-    The exponential for symbol ``x`` is keyed by (seed, coordinate, x), so
-    every distribution coupled against the same tape sees the same variates.
-    Symbols with zero mass get an infinite ratio; argmin ties break toward
-    the lowest symbol.
-    """
-    return _gumbel_couple(mu.probs, tape.seed, tape.coordinate)
-
-
-def couple(kind: CouplerKind, mu: Distribution, tape: RandomTape) -> int:
-    """Dispatch to the selected coupler."""
-    if kind is CouplerKind.MIN_COUPLER:
-        return min_coupler(mu, tape)
-    if kind is CouplerKind.GUMBEL_TRICK:
-        return gumbel_trick(mu, tape)
-    raise ValueError(f"unknown coupler kind: {kind!r}")
-
-
 def trace_min_coupler(probs, pairs: Iterable[tuple[int, float]]) -> int:
     """Apply the min-coupler acceptance rule to an explicit pair sequence.
 
@@ -195,12 +167,8 @@ def trace_gumbel(probs, exponentials) -> int:
     return best
 
 
-def min_coupler_batch(mu: Distribution, seeds, coordinate: int) -> np.ndarray:
-    """Vectorized ``min_coupler`` over an array of seeds.
-
-    Bit-identical to looping the scalar coupler; used by the statistical
-    checks, which need 1e5+ trials.
-    """
+def _min_couple_batch(mu: Distribution, seeds, coordinate: int) -> np.ndarray:
+    """Vectorized ``_min_couple`` over an array of seeds."""
     probs = mu.probs
     q = mu.q
     seeds = np.asarray(seeds, dtype=np.uint64)
@@ -226,8 +194,8 @@ def min_coupler_batch(mu: Distribution, seeds, coordinate: int) -> np.ndarray:
     return out
 
 
-def gumbel_trick_batch(mu: Distribution, seeds, coordinate: int) -> np.ndarray:
-    """Vectorized ``gumbel_trick`` over an array of seeds."""
+def _gumbel_couple_batch(mu: Distribution, seeds, coordinate: int) -> np.ndarray:
+    """Vectorized ``_gumbel_couple`` over an array of seeds."""
     probs = mu.probs
     q = mu.q
     seeds = np.asarray(seeds, dtype=np.uint64)
@@ -240,8 +208,11 @@ def gumbel_trick_batch(mu: Distribution, seeds, coordinate: int) -> np.ndarray:
 
 
 def couple_batch(kind: CouplerKind, mu: Distribution, seeds, coordinate: int) -> np.ndarray:
+    """``couple_probs(kind, mu.probs, seed, coordinate)`` for every seed in
+    ``seeds``, bit for bit; used by the statistical checks, which need 1e5+
+    trials."""
     if kind is CouplerKind.MIN_COUPLER:
-        return min_coupler_batch(mu, seeds, coordinate)
+        return _min_couple_batch(mu, seeds, coordinate)
     if kind is CouplerKind.GUMBEL_TRICK:
-        return gumbel_trick_batch(mu, seeds, coordinate)
+        return _gumbel_couple_batch(mu, seeds, coordinate)
     raise ValueError(f"unknown coupler kind: {kind!r}")

@@ -1,21 +1,28 @@
-"""Sequential, parallel, and query-efficient samplers.
+"""One guess-and-verify engine and its three presets.
 
-All three samplers realize the same deterministic function of
+Every mode realizes the same deterministic function of
 ``(oracle, seed, permutation, coupler)``: position ``i`` of the output (in
 permutation order) is the coupler applied, with the tape keyed by
 ``(seed, i)``, to the exact conditional of coordinate ``perm[i]`` given
-the final values of positions ``1..i-1``.  The sequential sampler computes
-this recursion directly; the parallel samplers reach the same fixed point
-in fewer rounds by guessing whole suffixes from the current pinning and
-verifying the guesses against their own prefixes with the same tapes.
+the final values of positions ``1..i-1``.
+
+The engine reaches that fixed point in rounds.  Each round guesses the
+``theta`` positions after the settled prefix from the settled pinning,
+verifies every guess against the guesses before it with the same tape,
+and advances the settled prefix to the first mismatch (or to the window
+end when all guesses verify).  The modes are presets of ``theta``:
+sequential is 1, parallel is ``n``, and efficient (windowed) is
+``config.theta`` or :func:`resolve_theta`.
+
+Accounting: the first window position's verify query has exactly the pins
+its guess had, so it is the same query and is neither issued nor counted.
+A round over ``w`` positions issues ``w`` guesses and ``w - 1`` verifies
+(``batch_size == 2w - 1``); sequential mode is ``n`` rounds of one query.
 
 Every query goes through a conditioning session (``oracle.session()``):
 the settled pinning is one session, and each verify pass pins its guesses
-into a fork of it (windowed mode) or into a fresh session (parallel mode).
-
-Per-round trace records make the round/query accounting inspectable:
-``a_history`` is the settled-prefix length after each counted round and is
-strictly increasing in every run.
+into a fork of it.  ``a_history`` is the settled-prefix length after each
+round; it is strictly increasing and ends at ``n`` in every run.
 """
 
 from __future__ import annotations
@@ -72,8 +79,19 @@ class SamplerConfig:
     permutation: PermutationMode = PermutationMode.RANDOM
 
     def __post_init__(self) -> None:
-        if self.theta is not None and self.theta < 1:
-            raise ValueError("explicit theta must be >= 1")
+        for name, kind in (
+            ("coupler", CouplerKind),
+            ("mode", Mode),
+            ("permutation", PermutationMode),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, not {value!r}")
+        if self.theta is not None:
+            if not isinstance(self.theta, int) or isinstance(self.theta, bool):
+                raise TypeError(f"theta must be an int or None, not {self.theta!r}")
+            if self.theta < 1:
+                raise ValueError("explicit theta must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -94,8 +112,10 @@ class Sample:
 class RoundRecord:
     """One guess-and-verify round.
 
-    ``batch_size`` counts oracle queries issued; ``guessed`` holds the
-    1-based permutation positions speculatively resampled this round;
+    ``batch_size`` counts oracle queries issued: one guess per guessed
+    position and one verify per guessed position but the first, so
+    ``2 * len(guessed) - 1``; ``guessed`` holds the 1-based permutation
+    positions speculatively resampled this round;
     ``first_mismatch`` is the earliest guessed position whose verification
     disagreed (None when the whole batch survived).
     """
@@ -179,198 +199,127 @@ def _resolve_permutation(config: SamplerConfig, n: int) -> list[int]:
     return rng.permutation(config.seed, n)
 
 
-def sequential_sample(
-    oracle: ConditionalOracle, config: SamplerConfig
+def _window_sample(
+    oracle: ConditionalOracle, config: SamplerConfig, theta: int
 ) -> tuple[Sample, SamplerTrace]:
-    """One coordinate per round, each conditioned on all earlier ones."""
+    """The guess-and-verify engine behind every mode.
+
+    Each round takes the window of the ``theta`` positions after the
+    settled prefix (fewer at the end).  It guesses every window position
+    from the settled pinning, then verifies each guess against the guesses
+    before it, in a fork of the settled session, with the same tape.  The
+    settled prefix advances to the first mismatch, taking its verified
+    symbol, or to the window end when every guess verifies.
+
+    The first window position's verify query would have exactly the pins
+    its guess had, so it is neither issued nor counted: its verified value
+    is its guess.  A window of ``w`` positions therefore costs ``w``
+    guesses and ``w - 1`` verifies, and forks the settled session only
+    when ``w >= 2``.
+
+    A guessed prefix can be jointly inconsistent (the guesses are drawn
+    independently), in which case verify queries past it condition on a
+    zero-measure pinning.  Such positions lie strictly after the round's
+    first mismatch, so their values are unobservable and are ignored; a
+    zero-measure verify query before any mismatch raises
+    :class:`InconsistentOracle`.
+    """
     n = oracle.n
     perm = _resolve_permutation(config, n)
     seed, kind = config.seed, config.coupler
     values = [0] * n
-    session = oracle.session()
-    records = []
-    for i in range(1, n + 1):
-        coord = perm[i - 1]
-        symbol = couple_probs(kind, session.marginal(coord), seed, i)
-        values[coord] = symbol
-        session.pin(coord, symbol)
-        records.append(RoundRecord(batch_size=1, guessed=(i,), first_mismatch=None))
+    settled = oracle.session()
+    records: list[RoundRecord] = []
+    a_history: list[int] = []
+    total_queries = 0
+    a = 0
+    while a < n:
+        end = a + theta
+        if end > n:
+            end = n
+        guessed = tuple(range(a + 1, end + 1))
+        guesses = []
+        for i in guessed:
+            guesses.append(couple_probs(kind, settled.marginal(perm[i - 1]), seed, i))
+        mismatch = None
+        if end - a > 1:
+            verify = settled.fork()
+            verify.pin(perm[a], guesses[0])
+            for i in range(a + 2, end + 1):
+                coord = perm[i - 1]
+                try:
+                    probs = verify.marginal(coord)
+                except ZeroMeasurePinning:
+                    if mismatch is None:
+                        raise InconsistentOracle(len(records) + 1, i) from None
+                else:
+                    # Verifies past the first mismatch cannot change the
+                    # round, but they belong to its parallel batch and are
+                    # issued and counted; only their coupling is skipped.
+                    if mismatch is None:
+                        verified = couple_probs(kind, probs, seed, i)
+                        if verified != guesses[i - a - 1]:
+                            mismatch = i
+                if i < end:
+                    verify.pin(coord, guesses[i - a - 1])
+        if mismatch is None:
+            a_new = end
+        else:
+            a_new = mismatch
+            guesses[mismatch - a - 1] = verified
+        for j in range(a, a_new):
+            coord = perm[j]
+            symbol = guesses[j - a]
+            values[coord] = symbol
+            settled.pin(coord, symbol)
+        batch = 2 * len(guessed) - 1
+        total_queries += batch
+        records.append(RoundRecord(batch, guessed, mismatch))
+        a_history.append(a_new)
+        a = a_new
+
     trace = SamplerTrace(
-        rounds=n,
-        total_queries=n,
-        a_history=tuple(range(1, n + 1)),
+        rounds=len(records),
+        total_queries=total_queries,
+        a_history=tuple(a_history),
         per_round=tuple(records),
     )
     return Sample(tuple(values)), trace
+
+
+def sequential_sample(
+    oracle: ConditionalOracle, config: SamplerConfig
+) -> tuple[Sample, SamplerTrace]:
+    """Theta 1: one coordinate per round (n rounds, n queries)."""
+    return _window_sample(oracle, config, 1)
 
 
 def parallel_sample(
     oracle: ConditionalOracle, config: SamplerConfig
 ) -> tuple[Sample, SamplerTrace]:
-    """Whole-suffix guess-and-verify rounds.
-
-    Each round guesses every unsettled position from the settled pinning,
-    then re-derives every position against the guess prefix with the same
-    tapes.  Terminates when guesses and verifications agree everywhere or
-    the settled prefix reaches n; both checks run in that order.
-
-    A guessed prefix can be jointly inconsistent (the guesses are drawn
-    independently), in which case verify queries past it condition on a
-    zero-measure pinning.  Such positions necessarily lie strictly after
-    the round's first mismatch, so their values are unobservable; they are
-    answered with the guess itself and the query is still counted as
-    issued.
-    """
-    n = oracle.n
-    perm = _resolve_permutation(config, n)
-    seed, kind = config.seed, config.coupler
-    a = 0
-    x_prev: list[int] | None = None
-    settled = oracle.session()
-    records: list[RoundRecord] = []
-    a_history: list[int] = []
-    total_queries = 0
-
-    while True:
-        queries_this = 0
-        y = list(x_prev) if x_prev is not None else [0] * n
-        for i in range(a + 1, n + 1):
-            coord = perm[i - 1]
-            y[coord] = couple_probs(kind, settled.marginal(coord), seed, i)
-            queries_this += 1
-
-        x = [0] * n
-        verify = oracle.session()
-        first_dead = None
-        for i in range(1, n + 1):
-            coord = perm[i - 1]
-            queries_this += 1
-            try:
-                probs = verify.marginal(coord)
-            except ZeroMeasurePinning:
-                if first_dead is None:
-                    first_dead = i
-                x[coord] = y[coord]
-            else:
-                x[coord] = couple_probs(kind, probs, seed, i)
-            verify.pin(coord, y[coord])
-
-        total_queries += queries_this
-        guessed = tuple(range(a + 1, n + 1))
-        mismatch = None
-        for i in range(1, n + 1):
-            if y[perm[i - 1]] != x[perm[i - 1]]:
-                mismatch = i
-                break
-        if first_dead is not None and not (mismatch is not None and mismatch < first_dead):
-            raise InconsistentOracle(len(records) + 1, first_dead)
-
-        if mismatch is None:
-            records.append(RoundRecord(queries_this, guessed, None))
-            break
-        records.append(RoundRecord(queries_this, guessed, mismatch))
-        a_history.append(mismatch)
-        for j in range(a + 1, mismatch + 1):
-            settled.pin(perm[j - 1], x[perm[j - 1]])
-        a = mismatch
-        if a == n:
-            break
-        x_prev = x
-
-    trace = SamplerTrace(
-        rounds=len(records),
-        total_queries=total_queries,
-        a_history=tuple(a_history),
-        per_round=tuple(records),
-    )
-    return Sample(tuple(x)), trace
+    """Theta n: every round guesses the whole unsettled suffix."""
+    return _window_sample(oracle, config, oracle.n)
 
 
 def efficient_sample(
     oracle: ConditionalOracle, config: SamplerConfig
 ) -> tuple[Sample, SamplerTrace]:
-    """Windowed guess-and-verify: each round touches only the theta
-    positions after the settled prefix, so total queries stay O(n).
+    """Theta ``config.theta``, or :func:`resolve_theta` when it is auto:
+    total queries stay O(n) while rounds stay sublinear on typical
+    instances."""
+    return _window_sample(oracle, config, config.theta or resolve_theta(oracle.n, oracle.q))
 
-    The settled prefix advances to the first mismatching window position,
-    or to the window end when the whole window verifies (every position in
-    it is then provably final).  Zero-measure verify pinnings are handled
-    exactly as in :func:`parallel_sample`.
-    """
-    n = oracle.n
-    perm = _resolve_permutation(config, n)
-    seed, kind = config.seed, config.coupler
-    theta = config.theta if config.theta is not None else resolve_theta(n, oracle.q)
 
-    a = 0
-    values = [0] * n
-    settled = oracle.session()
-    records: list[RoundRecord] = []
-    a_history: list[int] = []
-    total_queries = 0
-
-    while True:
-        w_end = min(a + theta, n)
-        window = range(a + 1, w_end + 1)
-        guesses: dict[int, int] = {}
-        for i in window:
-            coord = perm[i - 1]
-            guesses[i] = couple_probs(kind, settled.marginal(coord), seed, i)
-
-        verify = settled.fork()
-        verified: dict[int, int] = {}
-        first_dead = None
-        for i in window:
-            coord = perm[i - 1]
-            try:
-                probs = verify.marginal(coord)
-            except ZeroMeasurePinning:
-                if first_dead is None:
-                    first_dead = i
-                verified[i] = guesses[i]
-            else:
-                verified[i] = couple_probs(kind, probs, seed, i)
-            verify.pin(coord, guesses[i])
-
-        batch = 2 * len(window)
-        total_queries += batch
-        mismatch = None
-        for i in window:
-            if guesses[i] != verified[i]:
-                mismatch = i
-                break
-        if first_dead is not None and not (mismatch is not None and mismatch < first_dead):
-            raise InconsistentOracle(len(records) + 1, first_dead)
-
-        a_new = mismatch if mismatch is not None else w_end
-        for j in range(a + 1, a_new + 1):
-            coord = perm[j - 1]
-            values[coord] = verified[j]
-            settled.pin(coord, verified[j])
-        records.append(RoundRecord(batch, tuple(window), mismatch))
-        a_history.append(a_new)
-        a = a_new
-        if a >= n:
-            break
-
-    trace = SamplerTrace(
-        rounds=len(records),
-        total_queries=total_queries,
-        a_history=tuple(a_history),
-        per_round=tuple(records),
-    )
-    return Sample(tuple(values)), trace
+_PRESETS = {
+    Mode.SEQUENTIAL: sequential_sample,
+    Mode.PARALLEL: parallel_sample,
+    Mode.EFFICIENT: efficient_sample,
+}
 
 
 def run_sampler(oracle: ConditionalOracle, config: SamplerConfig):
-    """Dispatch on ``config.mode``."""
-    if config.mode is Mode.SEQUENTIAL:
-        return sequential_sample(oracle, config)
-    if config.mode is Mode.PARALLEL:
-        return parallel_sample(oracle, config)
-    if config.mode is Mode.EFFICIENT:
-        return efficient_sample(oracle, config)
-    raise ValueError(f"unknown sampler mode {config.mode!r}")
+    """Dispatch on ``config.mode`` to its theta preset."""
+    return _PRESETS[config.mode](oracle, config)
 
 
 def compute_abar(oracle: ConditionalOracle, config: SamplerConfig, i: int) -> int:

@@ -16,6 +16,7 @@ from . import rng
 from .coupler import CouplerKind, Distribution
 from .diagnostics import check_coupler_robustness, check_pinning_lemma, joint_table
 from .families import pair_copy, random_affine, random_product, random_table, sticky_markov
+from .gridmatch import GridMatchingOracle
 from .hardness import count_hypercube, generate, marginal_oracle_view
 from .sampler import (
     PermutationMode,
@@ -35,8 +36,31 @@ def _check(name: str, passed: bool, **details) -> dict:
     return entry
 
 
+def _accounting_holds(trace, n: int) -> bool:
+    """A round over w positions issues w guesses and w - 1 verifies, guesses
+    the positions right after the previous settled prefix, and settles up
+    to its first mismatch (or its whole window); the last round settles n."""
+    previous = 0
+    for record, settled in zip(trace.per_round, trace.a_history):
+        w = len(record.guessed)
+        end = record.guessed[-1] if record.first_mismatch is None else record.first_mismatch
+        if (
+            record.batch_size != 2 * w - 1
+            or record.guessed != tuple(range(previous + 1, previous + w + 1))
+            or settled != end
+        ):
+            return False
+        previous = settled
+    return (
+        trace.total_queries == sum(r.batch_size for r in trace.per_round)
+        and len(trace.a_history) == trace.rounds
+        and previous == n
+    )
+
+
 def suite_exactness(seed: int) -> list[dict]:
-    """Sequential, parallel, and windowed samplers agree bitwise."""
+    """Sequential, parallel, and windowed samplers agree bitwise, and every
+    trace follows the engine's round and query accounting."""
     checks = []
     instances = [
         ("table", random_table(4, 2, rng.word64(seed, 1, 0))),
@@ -45,21 +69,29 @@ def suite_exactness(seed: int) -> list[dict]:
         ("markov", sticky_markov(6, 2, rng.word64(seed, 1, 3))),
         ("paircopy", pair_copy(6, 2)),
         ("affine", random_affine(6, 3, rng.word64(seed, 1, 4))),
+        ("grid", GridMatchingOracle(4, 4)),
     ]
     for label, oracle in instances:
         mismatches = 0
+        broken = 0
         runs = 0
         for run_seed in range(40):
             for perm in _PERMS:
                 for kind in _COUPLERS:
                     config = SamplerConfig(seed=run_seed, coupler=kind, permutation=perm)
-                    s_seq, _ = sequential_sample(oracle, config)
-                    s_par, _ = parallel_sample(oracle, config)
-                    s_eff, _ = efficient_sample(oracle, config)
+                    s_seq, t_seq = sequential_sample(oracle, config)
+                    s_par, t_par = parallel_sample(oracle, config)
+                    s_eff, t_eff = efficient_sample(oracle, config)
                     runs += 1
                     mismatches += not (s_seq == s_par == s_eff)
+                    broken += sum(
+                        not _accounting_holds(t, oracle.n) for t in (t_seq, t_par, t_eff)
+                    )
         checks.append(
             _check(f"exact-agreement-{label}", mismatches == 0, runs=runs, mismatches=mismatches)
+        )
+        checks.append(
+            _check(f"trace-accounting-{label}", broken == 0, traces=3 * runs, violations=broken)
         )
     return checks
 

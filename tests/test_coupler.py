@@ -10,18 +10,15 @@ from countsample import rng
 from countsample.coupler import (
     CouplerKind,
     Distribution,
-    RandomTape,
-    couple,
     couple_batch,
     couple_probs,
-    gumbel_trick,
-    min_coupler,
     trace_gumbel,
     trace_min_coupler,
 )
 from countsample.diagnostics import robustness_bound, tv
 
 COUPLERS = (CouplerKind.MIN_COUPLER, CouplerKind.GUMBEL_TRICK)
+MIN, GUMBEL = COUPLERS
 
 
 class TestDistribution:
@@ -54,12 +51,12 @@ class TestHandTraces:
     def test_min_coupler_point_mass(self):
         mu = Distribution.point_mass(2, 4)
         for seed in range(50):
-            assert min_coupler(mu, RandomTape(seed, 0)) == 2
+            assert couple_probs(MIN, mu.probs, seed, 0) == 2
 
     def test_min_coupler_zero_tail(self):
         mu = Distribution(np.array([1.0, 0.0]))
         for seed in range(50):
-            assert min_coupler(mu, RandomTape(seed, 3)) == 0
+            assert couple_probs(MIN, mu.probs, seed, 3) == 0
 
     def test_min_coupler_rejection_trace(self):
         # pair (symbol 1, 0.7) rejected because 0.7 > 0.5, next pair accepted
@@ -68,12 +65,12 @@ class TestHandTraces:
     def test_gumbel_point_mass(self):
         mu = Distribution.point_mass(1, 3)
         for seed in range(50):
-            assert gumbel_trick(mu, RandomTape(seed, 0)) == 1
+            assert couple_probs(GUMBEL, mu.probs, seed, 0) == 1
 
     def test_gumbel_single_symbol(self):
         mu = Distribution(np.array([1.0]))
         for seed in range(20):
-            assert gumbel_trick(mu, RandomTape(seed, 0)) == 0
+            assert couple_probs(GUMBEL, mu.probs, seed, 0) == 0
 
     def test_gumbel_argmin_trace(self):
         # ratios 0.2/0.5 = 0.4 and 0.8/0.5 = 1.6, so symbol 0 wins
@@ -86,27 +83,36 @@ class TestHandTraces:
 class TestDispatch:
     def test_couple_point_mass(self):
         mu = Distribution.point_mass(0, 2)
-        tape = RandomTape(11, 4)
         for kind in COUPLERS:
-            assert couple(kind, mu, tape) == 0
+            assert couple_probs(kind, mu.probs, 11, 4) == 0
 
     def test_couple_deterministic(self):
         mu = Distribution(np.array([0.3, 0.2, 0.5]))
-        tape = RandomTape(999, 12)
         for kind in COUPLERS:
-            assert couple(kind, mu, tape) == couple(kind, mu, tape)
+            assert couple_probs(kind, mu.probs, 999, 12) == couple_probs(kind, mu.probs, 999, 12)
 
     def test_golden_values(self):
         # frozen cross-run reference values for the fixed tape encoding
         mu = Distribution(np.array([0.3, 0.7]))
-        tape = RandomTape(42, 7)
-        golden = {
-            CouplerKind.MIN_COUPLER: min_coupler(mu, tape),
-            CouplerKind.GUMBEL_TRICK: gumbel_trick(mu, tape),
-        }
+        golden = {MIN: 1, GUMBEL: 0}
         for kind, value in golden.items():
             for _ in range(3):
-                assert couple(kind, mu, tape) == value
+                assert couple_probs(kind, mu.probs, 42, 7) == value
+        mu = Distribution(np.array([0.2, 0.3, 0.1, 0.4]))
+        by_seed = {
+            MIN: [2, 0, 3, 1, 2, 2, 3, 0, 3, 0, 3, 3],
+            GUMBEL: [1, 0, 1, 0, 3, 0, 3, 1, 3, 3, 1, 3],
+        }
+        for kind, values in by_seed.items():
+            assert [couple_probs(kind, mu.probs, seed, 5) for seed in range(12)] == values
+
+    @pytest.mark.parametrize("kind", ["min", None, 0])
+    def test_unknown_kind_rejected(self, kind):
+        mu = Distribution(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="unknown coupler kind"):
+            couple_probs(kind, mu.probs, 1, 1)
+        with pytest.raises(ValueError, match="unknown coupler kind"):
+            couple_batch(kind, mu, rng.derive_seeds(1, 4), 1)
 
     def test_min_coupler_without_acceptable_mass_is_bounded(self):
         with pytest.raises(RuntimeError, match="failed to terminate"):
@@ -120,8 +126,7 @@ class TestBatchEqualsScalar:
         seeds = rng.derive_seeds(7, 500)
         batch = couple_batch(kind, mu, seeds, 9)
         for i in range(0, 500, 17):
-            tape = RandomTape(int(seeds[i]), 9)
-            assert int(batch[i]) == couple(kind, mu, tape)
+            assert int(batch[i]) == couple_probs(kind, mu.probs, int(seeds[i]), 9)
 
     @pytest.mark.parametrize("kind", COUPLERS)
     def test_batch_zero_mass(self, kind):
@@ -198,8 +203,7 @@ class TestRobustness:
 )
 def test_output_always_in_support(weights, seed):
     mu = Distribution.from_weights(weights)
-    tape = RandomTape(seed, 2)
     for kind in COUPLERS:
-        x = couple(kind, mu, tape)
+        x = couple_probs(kind, mu.probs, seed, 2)
         assert 0 <= x < mu.q
         assert mu.probs[x] > 0

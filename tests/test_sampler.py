@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -39,6 +40,7 @@ from countsample.sampler import (
 
 COUPLERS = (CouplerKind.MIN_COUPLER, CouplerKind.GUMBEL_TRICK)
 PERMS = (PermutationMode.RANDOM, PermutationMode.IDENTITY)
+GOLDEN_DIGEST = "ad9b1bca7948258a561f01cd4c35e561ec5c8d32cbbee9f13916bcf3a9bbd2f8"
 
 
 def family_instances():
@@ -101,6 +103,84 @@ def test_exact_agreement_explicit_thetas(label, oracle):
                 assert trace.rounds == oracle.n
 
 
+def _assert_accounting(trace, n):
+    """The engine's accounting rule: a round over w positions issues w
+    guesses and w - 1 verifies, and settles up to its first mismatch (or
+    its whole window)."""
+    assert trace.total_queries == sum(r.batch_size for r in trace.per_round)
+    previous = 0
+    for record, settled in zip(trace.per_round, trace.a_history, strict=True):
+        assert record.batch_size == 2 * len(record.guessed) - 1
+        assert record.guessed == tuple(range(previous + 1, previous + 1 + len(record.guessed)))
+        expected = record.guessed[-1] if record.first_mismatch is None else record.first_mismatch
+        assert settled == expected
+        previous = settled
+    assert trace.a_history[-1] == n
+
+
+@pytest.mark.parametrize("label,oracle", family_instances())
+def test_trace_accounting(label, oracle):
+    n = oracle.n
+    settings = [(mode, None) for mode in Mode]
+    settings += [(Mode.EFFICIENT, theta) for theta in (1, 2, 3, n, n + 5)]
+    for seed in range(20):
+        for kind in COUPLERS:
+            for mode, theta in settings:
+                config = SamplerConfig(seed=seed, coupler=kind, mode=mode, theta=theta)
+                _, trace = run_sampler(oracle, config)
+                _assert_accounting(trace, n)
+                if mode is Mode.SEQUENTIAL:
+                    assert trace.rounds == trace.total_queries == n
+
+
+def _golden_digest():
+    """sha256 over every mode's sample values and the sequential trace JSON
+    on a fixed grid of (family, seed, coupler, permutation)."""
+    h = hashlib.sha256()
+    for label, oracle in family_instances():
+        for seed in range(10):
+            for kind in COUPLERS:
+                for perm in PERMS:
+                    config = SamplerConfig(seed=seed, coupler=kind, permutation=perm)
+                    s_seq, t_seq = sequential_sample(oracle, config)
+                    s_par, _ = parallel_sample(oracle, config)
+                    s_eff, _ = efficient_sample(oracle, config)
+                    key = (label, seed, kind.value, perm.value, s_seq.values, s_par.values, s_eff.values)
+                    h.update(repr(key).encode())
+                    h.update(t_seq.to_json_str().encode())
+    return h.hexdigest()
+
+
+def test_golden_digest():
+    # frozen from the three separate sampler loops the engine replaced
+    assert _golden_digest() == GOLDEN_DIGEST
+
+
+class TestConfigTypes:
+    def test_coupler_string_rejected(self):
+        # a string used to fall through to the gumbel coupler silently
+        with pytest.raises(TypeError, match="coupler"):
+            SamplerConfig(seed=3, coupler="min")
+
+    def test_mode_string_rejected(self):
+        with pytest.raises(TypeError, match="mode"):
+            SamplerConfig(seed=3, mode="parallel")
+
+    def test_permutation_string_rejected(self):
+        # a string used to select the random permutation silently
+        with pytest.raises(TypeError, match="permutation"):
+            SamplerConfig(seed=3, permutation="identity")
+
+    @pytest.mark.parametrize("theta", [2.5, 3.0, "3", True])
+    def test_theta_non_int_rejected(self, theta):
+        with pytest.raises(TypeError, match="theta"):
+            SamplerConfig(seed=3, theta=theta)
+
+    def test_theta_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            SamplerConfig(seed=3, theta=0)
+
+
 def test_trace_invariants_enforced():
     with pytest.raises(ValueError):
         SamplerTrace(rounds=1, total_queries=1, a_history=(2, 2), per_round=(RoundRecord(1, (1,), None),))
@@ -131,7 +211,9 @@ class TestParallel:
         for seed in range(50):
             _, trace = parallel_sample(oracle, SamplerConfig(seed=seed))
             assert trace.rounds == 1
-            assert trace.total_queries == 16
+            # n guesses and n - 1 verifies: the first position's verify
+            # query is its guess query and is not issued again
+            assert trace.total_queries == 2 * oracle.n - 1
 
     def test_n_equals_one(self):
         oracle = random_table(1, 3, seed=2)
