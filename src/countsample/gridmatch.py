@@ -340,8 +340,3 @@ class _GridSession(PinningSession):
 
     def fork(self) -> "_GridSession":
         return _GridSession(self._oracle, dict(self._pins), self._alive)
-
-
-def grid_matching_marginal(w: int, h: int, query):
-    """One-shot separator marginal on a w x h grid (convenience wrapper)."""
-    return GridMatchingOracle(w, h).conditional_marginal(query)

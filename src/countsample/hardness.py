@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .gf2 import BitMatrix, BitVector, bits_to_hex, hex_to_bits, solve_affine_with_pinning
-from .oracle import ConditionalOracle, Pinning, ZeroMeasurePinning
+from .oracle import AffineCodeOracle, ConditionalOracle, ZeroMeasurePinning
 
 _LN2 = math.log(2.0)
 
@@ -42,10 +42,6 @@ _BALANCE_STREAM = 108
 
 class ParameterInfeasible(ValueError):
     """The closed-form block parameters are not realizable at this n."""
-
-
-# A hypercube {x : x_S = y} over {0,1}^n is exactly a bit-valued pinning.
-Hypercube = Pinning
 
 
 @dataclass(frozen=True)
@@ -75,6 +71,8 @@ class HardnessInstance:
         if seen != set(range(self.n)):
             raise ValueError("blocks must partition the coordinate set")
         sizes = {len(b) for b in self.blocks}
+        if min(sizes) < 1:
+            raise ValueError("every block must be non-empty")
         if max(sizes) - min(sizes) > 1:
             raise ValueError("block sizes may differ by at most one")
         if len(self.a) != self.r or len(self.blocks) != self.r:
@@ -291,10 +289,13 @@ def count_hypercube(instance: HardnessInstance, pinned: Mapping[int, int]) -> in
 class HardnessOracle(ConditionalOracle):
     """Conditional-marginal view of a hardness instance (q = 2).
 
-    The marginal of a coordinate depends only on its own block (the other
-    blocks' counts cancel in the ratio), so the hot path does two pinned
-    solves on one code.  The public ``conditional_marginal`` additionally
-    verifies the whole pinning has positive measure.
+    The distribution is the product of the blocks' uniform affine codes,
+    held as one :class:`AffineCodeOracle` per block.  A coordinate's
+    marginal depends only on its own block (the other blocks' counts cancel
+    in the ratio), so it is that block oracle's marginal at the target's
+    local column under the pins that fall in the block.  As for every
+    family, the public ``conditional_marginal`` also checks that the whole
+    pinning has positive measure.
     """
 
     variant = "hardness"
@@ -304,34 +305,21 @@ class HardnessOracle(ConditionalOracle):
         self.n = instance.n
         self.q = 2
         self._index = instance.position_index()
-        self._support_log2 = instance.support_log2()
-
-    def _block_pins(self, block: int, pins: Mapping[int, int]) -> list[tuple[int, int]]:
-        out = []
-        for pos, bit in pins.items():
-            bi, col = self._index[pos]
-            if bi == block:
-                out.append((col, bit))
-        return out
+        self._blocks = tuple(AffineCodeOracle(matrix, rhs) for matrix, rhs in instance.codes)
+        self._support_log2 = sum(block._log2_total for block in self._blocks)
 
     def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
         bi, col = self._index[target]
-        matrix, rhs = self.instance.codes[bi]
-        local = self._block_pins(bi, pins)
-        c0 = solve_affine_with_pinning(matrix, rhs, local + [(col, 0)])
-        c1 = solve_affine_with_pinning(matrix, rhs, local + [(col, 1)])
-        if c0 is None and c1 is None:
-            raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
-        if c0 is None:
-            return np.array([0.0, 1.0])
-        if c1 is None:
-            return np.array([1.0, 0.0])
-        # Both restrictions of an affine support are cosets of one subspace.
-        return np.array([0.5, 0.5])
-
-    def _check_pinning_measure(self, pins: Mapping[int, int]) -> None:
-        if count_hypercube(self.instance, pins) is None:
-            raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
+        local = {}
+        for pos, bit in pins.items():
+            block, local_col = self._index[pos]
+            if block == bi:
+                local[local_col] = bit
+        try:
+            return self._blocks[bi]._marginal_probs(col, local)
+        except ZeroMeasurePinning:
+            # The block oracle names local columns; report the caller's pins.
+            raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0") from None
 
     def _log_probability(self, pins: Mapping[int, int]) -> float:
         count = count_hypercube(self.instance, pins)

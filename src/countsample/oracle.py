@@ -33,6 +33,11 @@ a pinning that grows one coordinate at a time and answers marginals under
 it, bit-identical to ``_marginal_probs`` on the same pins.  Families whose
 answer can reuse the previous pinning override ``session``.
 
+The public query ``conditional_marginal(target, pins)`` is a validating
+wrapper over the same session: it rejects malformed input, raises
+``ZeroMeasurePinning`` for every family when ``pins`` has probability 0,
+and otherwise returns the session's array unchanged.
+
 Queries are read-only: every family answers from state built in its
 constructor, so no query changes an oracle or its later answers.
 """
@@ -42,8 +47,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -61,7 +65,9 @@ class OracleError(Exception):
 
 
 class MalformedQuery(OracleError):
-    """Raised on out-of-range indices, repeated pins, or a pinned target."""
+    """Raised on a target, pinned coordinate or symbol that is not an
+    integer (``bool`` included) or lies out of range, or on a pinned
+    target."""
 
 
 class ZeroMeasurePinning(OracleError):
@@ -73,46 +79,13 @@ class ZeroMeasurePinning(OracleError):
     """
 
 
-class Pinning(Mapping[int, int]):
-    """A partial assignment {coordinate -> symbol} conditioning a query."""
-
-    __slots__ = ("_assignments",)
-
-    def __init__(self, assignments=()) -> None:
-        self._assignments = dict(assignments)
-
-    def __getitem__(self, key: int) -> int:
-        return self._assignments[key]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._assignments)
-
-    def __len__(self) -> int:
-        return len(self._assignments)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self.sorted_items())
-        return f"Pinning({inner})"
-
-    def sorted_items(self) -> list[tuple[int, int]]:
-        return sorted(self._assignments.items())
-
-    def extended(self, coordinate: int, symbol: int) -> "Pinning":
-        ext = dict(self._assignments)
-        ext[coordinate] = symbol
-        return Pinning(ext)
-
-
-@dataclass(frozen=True)
-class MarginalQuery:
-    """Ask for the distribution of ``target`` given ``pinning``."""
-
-    target: int
-    pinning: Pinning
-
-    def __post_init__(self) -> None:
-        if self.target in self.pinning:
-            raise MalformedQuery(f"target coordinate {self.target} is pinned")
+def _index(value, bound: int, what: str) -> int:
+    """``value`` as a Python int in ``[0, bound)``, else MalformedQuery."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise MalformedQuery(f"{what} {value!r} is not an integer")
+    if not 0 <= value < bound:
+        raise MalformedQuery(f"{what} {value} outside [0, {bound})")
+    return int(value)
 
 
 class PinningSession:
@@ -144,8 +117,8 @@ class ConditionalOracle(ABC):
     """Interface every oracle family implements.
 
     Subclasses provide the trusted hot paths ``_marginal_probs`` and
-    ``_log_probability``; the public methods validate indices and wrap the
-    result in :class:`Distribution`.
+    ``_log_probability``; the public methods validate their input and
+    answer through the same paths the samplers use.
     """
 
     variant: str = "abstract"
@@ -159,34 +132,31 @@ class ConditionalOracle(ABC):
         (coordinate, symbol) pairs)."""
         return PinningSession(self, dict(base))
 
-    def conditional_marginal(self, query: MarginalQuery) -> Distribution:
-        """Exact vector ``(P[X_target = x | pinning])_x``."""
-        self._validate_target(query.target)
-        self._validate_pinning(query.pinning)
-        self._check_pinning_measure(query.pinning)
-        return Distribution(self._marginal_probs(query.target, query.pinning))
+    def conditional_marginal(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
+        """Exact vector ``(P[X_target = x | X_S = pins])_x``: the array
+        ``session(pins).marginal(target)`` returns, which the samplers
+        couple against.  Raises ``MalformedQuery`` on bad input and
+        ``ZeroMeasurePinning`` when ``pins`` has probability 0."""
+        target = _index(target, self.n, "target")
+        pins = self._checked_pins(pins)
+        if target in pins:
+            raise MalformedQuery(f"target coordinate {target} is pinned")
+        if pins and self._log_probability(pins) == -math.inf:
+            raise ZeroMeasurePinning(f"pinning {pins!r} has probability 0")
+        return self.session(pins).marginal(target)
 
-    def joint_probability(self, pinning: Mapping[int, int]) -> float:
+    def joint_probability(self, pins: Mapping[int, int]) -> float:
         """Exact ``log P[X_S = s]``; ``-inf`` for zero measure."""
-        self._validate_pinning(pinning)
-        if not pinning:
+        pins = self._checked_pins(pins)
+        if not pins:
             return 0.0
-        return self._log_probability(pinning)
+        return self._log_probability(pins)
 
-    def _validate_target(self, target: int) -> None:
-        if not 0 <= target < self.n:
-            raise MalformedQuery(f"target {target} outside [0, {self.n})")
-
-    def _validate_pinning(self, pins: Mapping[int, int]) -> None:
-        for pos, val in pins.items():
-            if not 0 <= pos < self.n:
-                raise MalformedQuery(f"pinned coordinate {pos} outside [0, {self.n})")
-            if not 0 <= val < self.q:
-                raise MalformedQuery(f"pinned symbol {val} outside [0, {self.q})")
-
-    def _check_pinning_measure(self, pins: Mapping[int, int]) -> None:
-        """Hook for families whose hot path does not already prove the
-        pinning has positive measure."""
+    def _checked_pins(self, pins: Mapping[int, int]) -> dict[int, int]:
+        return {
+            _index(pos, self.n, "pinned coordinate"): _index(val, self.q, "pinned symbol")
+            for pos, val in pins.items()
+        }
 
     @abstractmethod
     def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
@@ -392,12 +362,6 @@ class MarkovChainOracle(ConditionalOracle):
         if total <= 0.0:
             raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
         return weights / total
-
-    def _check_pinning_measure(self, pins: Mapping[int, int]) -> None:
-        # A marginal reads only the target's two nearest pins, so it cannot
-        # see a zero-measure step between two other pins.
-        if self._log_probability(pins) == -math.inf:
-            raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
 
     def _log_probability(self, pins: Mapping[int, int]) -> float:
         if not pins:

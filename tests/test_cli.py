@@ -5,7 +5,10 @@ import sys
 import pytest
 
 from countsample.bench import CSV_HEADER, rows_from_csv
+from countsample import verify
 from countsample.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, main
+from countsample.oracle import PairCopyOracle
+from countsample.verify import VERIFY_SUITES
 
 
 def read_json(path):
@@ -163,7 +166,7 @@ class TestBenchCommand:
 
 
 class TestVerifyCommand:
-    @pytest.mark.parametrize("suite", ["exactness", "oracle-consistency"])
+    @pytest.mark.parametrize("suite", sorted(VERIFY_SUITES))
     def test_suites_pass(self, suite, tmp_path):
         report = tmp_path / "report.json"
         rc = main(["verify", "--suite", suite, "--seed", "0", "--report", str(report)])
@@ -171,6 +174,17 @@ class TestVerifyCommand:
         data = read_json(report)
         assert data["passed"] is True
         assert all(c["passed"] for c in data["checks"])
+        names = [c["name"] for c in data["checks"]]
+        assert len(names) == len(set(names)), names
+
+    def test_oracle_crash_is_not_scored_as_zero(self, monkeypatch):
+        class Crashing(PairCopyOracle):
+            def _marginal_probs(self, target, pins):
+                raise IndexError("oracle bug")
+
+        monkeypatch.setattr(verify, "pair_copy", lambda n, q: Crashing(n, q))
+        with pytest.raises(IndexError):
+            verify.run_suite("oracle-consistency", 0)
 
     def test_unknown_suite_usage_error(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == EXIT_USAGE

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_count, enumerate_perfect_matchings
-from countsample.coupler import Distribution
 from countsample.gridmatch import (
     DIRECTIONS,
     GridMatchingOracle,
     fkt_match_count,
-    grid_matching_marginal,
     match_count,
 )
-from countsample.oracle import MarginalQuery, Pinning, ZeroMeasurePinning
+from countsample.oracle import ZeroMeasurePinning
 
 
 def config_of_matching(oracle: GridMatchingOracle, matching) -> tuple[int, ...]:
@@ -76,14 +74,14 @@ class TestCounts:
 class TestOracle:
     def test_two_by_two_marginal(self):
         oracle = GridMatchingOracle(2, 2)
-        probs = oracle.conditional_marginal(MarginalQuery(0, Pinning())).probs
+        probs = oracle.conditional_marginal(0, {})
         # vertex (0,0): edges right and down each appear in one of 2 matchings
         assert probs[DIRECTIONS.index((1, 0))] == pytest.approx(0.5)
         assert probs[DIRECTIONS.index((0, 1))] == pytest.approx(0.5)
 
     def test_single_edge_grid(self):
         oracle = GridMatchingOracle(2, 1)
-        probs = oracle.conditional_marginal(MarginalQuery(0, Pinning())).probs
+        probs = oracle.conditional_marginal(0, {})
         assert probs[DIRECTIONS.index((1, 0))] == 1.0
 
     def test_marginals_match_enumeration_4x4(self):
@@ -94,7 +92,7 @@ class TestOracle:
             expected = np.zeros(4)
             for config, p in dist.items():
                 expected[config[row]] += p
-            got = oracle.conditional_marginal(MarginalQuery(row, Pinning())).probs
+            got = oracle.conditional_marginal(row, {})
             np.testing.assert_allclose(got, expected, atol=1e-12)
         # pinned marginals
         for config, p in list(dist.items())[:10]:
@@ -107,14 +105,14 @@ class TestOracle:
                 expected = np.zeros(4)
                 for k, v in cond.items():
                     expected[k[row]] += v / total
-                got = oracle.conditional_marginal(MarginalQuery(row, Pinning(pins))).probs
+                got = oracle.conditional_marginal(row, pins)
                 np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_adjacent_rows_sharing_edge(self):
         # rows 0 and 1 pointing at each other share one edge: consistent
         oracle = GridMatchingOracle(2, 2)
         down, up = DIRECTIONS.index((0, 1)), DIRECTIONS.index((0, -1))
-        logp = oracle.joint_probability(Pinning({0: down, 1: up}))
+        logp = oracle.joint_probability({0: down, 1: up})
         assert math.exp(logp) == pytest.approx(0.5)
 
     def test_off_grid_direction_zero_measure(self):
@@ -122,7 +120,7 @@ class TestOracle:
         oracle = GridMatchingOracle(2, 2)
         left = DIRECTIONS.index((-1, 0))
         with pytest.raises(ZeroMeasurePinning):
-            oracle.conditional_marginal(MarginalQuery(1, Pinning({0: left})))
+            oracle.conditional_marginal(1, {0: left})
 
     def test_vertex_conflict_zero_measure(self):
         # 4x3, separator column x=1: row0 down uses (1,0)-(1,1), row1 right
@@ -131,16 +129,12 @@ class TestOracle:
         right = DIRECTIONS.index((1, 0))
         down = DIRECTIONS.index((0, 1))
         with pytest.raises(ZeroMeasurePinning):
-            oracle.conditional_marginal(MarginalQuery(2, Pinning({0: down, 1: right})))
-        assert oracle.joint_probability(Pinning({0: down, 1: right})) == -math.inf
+            oracle.conditional_marginal(2, {0: down, 1: right})
+        assert oracle.joint_probability({0: down, 1: right}) == -math.inf
 
     def test_impossible_grid_rejected(self):
         with pytest.raises(ValueError):
             GridMatchingOracle(3, 3)
-
-    def test_wrapper_function(self):
-        probs = grid_matching_marginal(2, 2, MarginalQuery(0, Pinning())).probs
-        assert probs.sum() == pytest.approx(1.0)
 
 
 def test_log_probability_matches_ratio():
@@ -149,7 +143,7 @@ def test_log_probability_matches_ratio():
     config = next(iter(dist))
     pins = {0: config[0]}
     expected = sum(v for k, v in dist.items() if k[0] == config[0])
-    assert math.exp(oracle.joint_probability(Pinning(pins))) == pytest.approx(expected)
+    assert math.exp(oracle.joint_probability(pins)) == pytest.approx(expected)
 
 
 # -- table against the per-query DP ----------------------------------------
@@ -234,15 +228,9 @@ def assert_table_matches_dp(oracle: GridMatchingOracle, target: int, pins) -> No
     expected = answer(dp_marginal, oracle, target, pins)
     assert answer(oracle._marginal_probs, target, pins) == expected, label
     assert answer(oracle.session(pins).marginal, target) == expected, label
-    public = oracle.joint_probability(Pinning(pins))
+    public = oracle.joint_probability(pins)
     assert public == dp_log_probability(oracle, pins), label
-    if expected == "zero-measure":
-        with pytest.raises(ZeroMeasurePinning):
-            oracle.conditional_marginal(MarginalQuery(target, Pinning(pins)))
-    else:
-        got = oracle.conditional_marginal(MarginalQuery(target, Pinning(pins))).probs
-        want = Distribution(dp_marginal(oracle, target, pins)).probs
-        assert got.tobytes() == want.tobytes(), label
+    assert answer(oracle.conditional_marginal, target, pins) == expected, label
 
 
 SMALL_GRIDS = [(w, h) for w in range(1, 7) for h in range(1, 7) if (w * h) % 2 == 0]
@@ -291,7 +279,7 @@ class TestTableAgainstDP:
         oracle = GridMatchingOracle(w, h)
         for target in range(2, h):
             assert_table_matches_dp(oracle, target, {0: DOWN, 1: UP})
-        assert oracle.joint_probability(Pinning({0: DOWN, 1: UP})) > -math.inf
+        assert oracle.joint_probability({0: DOWN, 1: UP}) > -math.inf
 
     def test_session_repins_a_row(self):
         oracle = GridMatchingOracle(6, 10)
@@ -327,7 +315,7 @@ class TestTableAgainstDP:
         session.pin(2, DOWN)
         session.fork().pin(3, UP)
         oracle._marginal_probs(1, {0: RIGHT})
-        oracle.joint_probability(Pinning({3: LEFT}))
+        oracle.joint_probability({3: LEFT})
         assert (oracle._weights.tobytes(), oracle._dirs.tobytes()) == before
 
 

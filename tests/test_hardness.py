@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from countsample import rng
+from countsample.gf2 import BitMatrix, BitVector
 from countsample.hardness import (
     HardnessInstance,
     ParameterInfeasible,
@@ -16,7 +18,7 @@ from countsample.hardness import (
     probe_no_info,
     save_instance,
 )
-from countsample.oracle import MarginalQuery, Pinning, ZeroMeasurePinning
+from countsample.oracle import ZeroMeasurePinning
 from countsample.sampler import SamplerConfig, sequential_sample
 
 TOY = dict(n=16, c=1.0, seed=5, override=(2, 8, [2, 4]))
@@ -77,6 +79,22 @@ class TestGenerate:
             generate(16, 1.0, seed=0, override=(2, 8, [4, 2]))  # not increasing
         with pytest.raises(ParameterInfeasible):
             generate(16, 1.0, seed=0, override=(2, 8, [2, 8]))  # a_r >= m
+
+    def test_constructor_rejects_an_empty_block(self):
+        # n = 1 split into r = 2 blocks: sizes 0 and 1 differ by one.
+        with pytest.raises(ValueError, match="non-empty"):
+            HardnessInstance(
+                n=1,
+                c=1.0,
+                r=2,
+                m=0,
+                blocks=((), (0,)),
+                a=(0, 1),
+                codes=((BitMatrix(0, ()), BitVector(0, 0)), (BitMatrix(1, ()), BitVector(0, 0))),
+                seed=0,
+                overridden=True,
+                rejections=0,
+            )
 
     def test_constructor_rejects_uneven_blocks(self):
         good = generate(16, 1.0, seed=5, override=(2, 8, [2, 4]))
@@ -191,10 +209,23 @@ class TestOracleView:
             if count_hypercube(instance, pins) is None:
                 target = instance.blocks[1][0]
                 with pytest.raises(ZeroMeasurePinning):
-                    oracle.conditional_marginal(MarginalQuery(target, Pinning(pins)))
+                    oracle.conditional_marginal(target, pins)
                 break
         else:
             pytest.fail("no zero-measure block pinning found")
+
+    def test_zero_measure_in_the_target_block_names_global_pins(self, toy):
+        instance, _ = toy
+        oracle = marginal_oracle_view(instance)
+        *pinned, target = instance.blocks[0]
+        for probe in range(1 << len(pinned)):
+            pins = {pos: (probe >> j) & 1 for j, pos in enumerate(pinned)}
+            if count_hypercube(instance, pins) is None:
+                with pytest.raises(ZeroMeasurePinning, match=re.escape(repr(pins))):
+                    oracle._marginal_probs(target, pins)
+                break
+        else:
+            pytest.fail("no zero-measure pinning of the block found")
 
     def test_oracle_view_json_roundtrip(self, toy):
         from countsample.oracle import oracle_from_json

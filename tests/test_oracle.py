@@ -22,10 +22,8 @@ from countsample.oracle import (
     AffineCodeOracle,
     ApproximateOracle,
     MalformedQuery,
-    MarginalQuery,
     MarkovChainOracle,
     PairCopyOracle,
-    Pinning,
     ProductOracle,
     TableOracle,
     ZeroMeasurePinning,
@@ -87,7 +85,7 @@ class TestOracleConsistency:
             if not ok:
                 continue
             expected = brute_marginal(table, target, pins)
-            got = oracle.conditional_marginal(MarginalQuery(target, Pinning(pins))).probs
+            got = oracle.conditional_marginal(target, pins)
             np.testing.assert_allclose(got, expected, atol=RTOL)
 
     def test_chain_rule_reconstructs_joint(self, label, oracle):
@@ -121,10 +119,10 @@ class TestOracleConsistency:
                 weights = brute_marginal(table, c, pins)
                 choices = np.flatnonzero(weights > 0)
                 pins[c] = int(rng_local.choice(choices))
-            base = oracle.joint_probability(Pinning(pins))
+            base = oracle.joint_probability(pins)
             marginal = oracle._marginal_probs(target, pins)
             for x in range(q):
-                ext = oracle.joint_probability(Pinning({**pins, target: x}))
+                ext = oracle.joint_probability({**pins, target: x})
                 lhs = ext - base
                 rhs = math.log(marginal[x]) if marginal[x] > 0 else -math.inf
                 if math.isinf(lhs) or math.isinf(rhs):
@@ -139,7 +137,7 @@ class TestOracleConsistency:
         assert abs(probs.sum() - 1.0) <= 1e-9
 
     def test_empty_pinning_log_prob_zero(self, label, oracle):
-        assert oracle.joint_probability(Pinning()) == 0.0
+        assert oracle.joint_probability({}) == 0.0
 
     def test_json_roundtrip(self, label, oracle):
         clone = oracle_from_json(oracle.to_json())
@@ -152,23 +150,24 @@ class TestValidation:
     def test_malformed_target(self):
         oracle = random_table(3, 2, seed=0)
         with pytest.raises(MalformedQuery):
-            oracle.conditional_marginal(MarginalQuery(5, Pinning()))
+            oracle.conditional_marginal(5, {})
 
     def test_pinned_target_rejected(self):
+        oracle = random_table(3, 2, seed=0)
         with pytest.raises(MalformedQuery):
-            MarginalQuery(1, Pinning({1: 0}))
+            oracle.conditional_marginal(1, {1: 0})
 
     def test_out_of_range_symbol(self):
         oracle = random_table(3, 2, seed=0)
         with pytest.raises(MalformedQuery):
-            oracle.conditional_marginal(MarginalQuery(0, Pinning({1: 7})))
+            oracle.conditional_marginal(0, {1: 7})
 
 
 class TestTable:
     def test_zero_measure_raises(self):
         oracle = TableOracle(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ZeroMeasurePinning):
-            oracle.conditional_marginal(MarginalQuery(0, Pinning({1: 1})))
+            oracle.conditional_marginal(0, {1: 1})
 
     def test_state_cap(self):
         with pytest.raises(ValueError):
@@ -184,7 +183,7 @@ class TestProduct:
 
     def test_uniform_log_prob(self):
         oracle = ProductOracle(np.full((6, 2), 0.5))
-        pins = Pinning({0: 1, 3: 0, 5: 1})
+        pins = {0: 1, 3: 0, 5: 1}
         assert oracle.joint_probability(pins) == pytest.approx(-3 * math.log(2))
 
 
@@ -201,7 +200,7 @@ class TestPairCopy:
     def test_conflicting_pair_raises(self):
         oracle = PairCopyOracle(4)
         with pytest.raises(ZeroMeasurePinning):
-            oracle.conditional_marginal(MarginalQuery(2, Pinning({0: 0, 1: 1})))
+            oracle.conditional_marginal(2, {0: 0, 1: 1})
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
@@ -255,9 +254,9 @@ class TestAffine:
         # x0+x1=0 and x1+x2=0: support {000, 111}; pinning 0=0,1=1 is impossible
         oracle = AffineCodeOracle(BitMatrix(3, (0b011, 0b110)), BitVector(2, 0))
         with pytest.raises(ZeroMeasurePinning):
-            oracle.conditional_marginal(MarginalQuery(2, Pinning({0: 0, 1: 1})))
+            oracle.conditional_marginal(2, {0: 0, 1: 1})
         with pytest.raises(MalformedQuery):
-            oracle.conditional_marginal(MarginalQuery(0, Pinning({1: 5})))
+            oracle.conditional_marginal(0, {1: 5})
 
 
 class TestApproximate:
@@ -335,11 +334,11 @@ class TestMarkov:
         # impossible, although the target 5 only sees its neighbour 3.
         cyclic = np.array([[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]] * 11)
         oracle = MarkovChainOracle([1.0, 0.0, 0.0], cyclic)
-        pins = Pinning({2: 0, 3: 2})
+        pins = {2: 0, 3: 2}
         assert oracle.joint_probability(pins) == -math.inf
         with pytest.raises(ZeroMeasurePinning):
-            oracle.conditional_marginal(MarginalQuery(5, pins))
-        ok = oracle.conditional_marginal(MarginalQuery(5, Pinning({2: 0, 3: 1}))).probs
+            oracle.conditional_marginal(5, pins)
+        ok = oracle.conditional_marginal(5, {2: 0, 3: 1})
         assert ok.tolist() == [0.25, 0.25, 0.5]
 
     def test_unconditional_marginal(self):
@@ -454,3 +453,45 @@ class TestSessions:
         expected = oracle._marginal_probs(5, {3: 1, 7: 0})
         assert session.marginal(5).tobytes() == expected.tobytes()
         assert session.marginal(8).tobytes() == oracle._marginal_probs(8, {3: 1, 7: 0}).tobytes()
+
+
+# Non-integer and bool inputs, as a target, a pinned coordinate or a symbol.
+NOT_INTEGERS = (0.5, 1.0, True, False, np.float64(1.0), np.True_, "1", None)
+
+
+class TestPublicQuery:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_public_answer_is_the_session_answer(self, data):
+        label, oracle = data.draw(st.sampled_from(SESSION_FAMILIES))
+        pairs, free = _draw_pins(data, oracle)
+        pins = dict(pairs)
+        zero = oracle.joint_probability(pins) == -math.inf
+        for target in free:
+            if zero:
+                with pytest.raises(ZeroMeasurePinning):
+                    oracle.conditional_marginal(target, pins)
+            else:
+                got = oracle.conditional_marginal(target, pins)
+                assert got.tobytes() == oracle.session(pins).marginal(target).tobytes(), label
+
+    @pytest.mark.parametrize("label,oracle", SESSION_FAMILIES)
+    def test_non_integer_input_is_malformed(self, label, oracle):
+        for bad in NOT_INTEGERS:
+            with pytest.raises(MalformedQuery):
+                oracle.conditional_marginal(bad, {})
+            for pins in ({bad: 0}, {1: bad}):
+                with pytest.raises(MalformedQuery):
+                    oracle.conditional_marginal(0, pins)
+                with pytest.raises(MalformedQuery):
+                    oracle.joint_probability(pins)
+
+    @pytest.mark.parametrize("label,oracle", SESSION_FAMILIES)
+    def test_numpy_integers_are_accepted(self, label, oracle):
+        for sym in range(oracle.q):
+            pins = {1: sym}
+            wide = {np.int64(1): np.uint8(sym)}
+            assert oracle.joint_probability(wide) == oracle.joint_probability(pins), label
+            assert _answer(lambda t: oracle.conditional_marginal(t, wide), np.int32(0)) == _answer(
+                lambda t: oracle.conditional_marginal(t, pins), 0
+            ), label
