@@ -16,9 +16,12 @@ Two kinds are provided (``CouplerKind``):
 
 Each kind has one scalar entry, ``couple_probs(kind, probs, seed,
 stream)``, whose tape is the stream keyed by ``(seed, stream)``, and one
-batch entry over many seeds, ``couple_batch``, bit-identical to looping
-the scalar one.  ``trace_min_coupler`` and ``trace_gumbel`` apply the two
-rules to explicit variates, as references for the tests.
+batch entry over many seeds, ``couple_batch(kind, probs, seeds, stream)``,
+bit-identical to looping the scalar one over ``seeds``.  Both use the raw
+float64 array an oracle answers with as given, never renormalized, since a
+one-ULP change can flip a comparison.  ``trace_min_coupler`` and
+``trace_gumbel`` apply the two rules to explicit variates, as references
+for the tests.
 
 Both satisfy the multi-distribution robustness bound
 
@@ -32,63 +35,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from . import rng
 
-_SUM_TOL = 1e-9
 _SPAN = 1 << 64
 # Pairs the min coupler scans before giving up on a vector with no
 # acceptable mass; a distribution accepts each pair with probability 1/q.
 _MAX_MIN_DRAWS = 1_000_000
-
-
-@dataclass(frozen=True, eq=False)
-class Distribution:
-    """A probability vector over the alphabet ``[q]`` (symbols ``0..q-1``).
-
-    Entries must be non-negative and sum to 1 within an absolute tolerance
-    of 1e-9; the vector is renormalized exactly on construction.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.probs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("distribution must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("distribution entries must be finite")
-        if np.any(arr < 0.0) or np.any(arr > 1.0 + _SUM_TOL):
-            raise ValueError("distribution entries must lie in [0, 1]")
-        total = float(arr.sum())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"distribution sums to {total!r}, not 1 within 1e-9")
-        arr = arr / total
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
-
-    @property
-    def q(self) -> int:
-        return int(self.probs.shape[0])
-
-    @classmethod
-    def from_weights(cls, weights) -> "Distribution":
-        """Normalize an arbitrary non-negative weight vector."""
-        arr = np.asarray(weights, dtype=np.float64)
-        total = float(arr.sum())
-        if not (total > 0.0) or not np.all(np.isfinite(arr)):
-            raise ValueError("weights must be finite with positive total mass")
-        return cls(arr / total)
-
-    @classmethod
-    def point_mass(cls, symbol: int, q: int) -> "Distribution":
-        arr = np.zeros(q)
-        arr[symbol] = 1.0
-        return cls(arr)
 
 
 class CouplerKind(enum.Enum):
@@ -167,10 +123,9 @@ def trace_gumbel(probs, exponentials) -> int:
     return best
 
 
-def _min_couple_batch(mu: Distribution, seeds, coordinate: int) -> np.ndarray:
+def _min_couple_batch(probs: np.ndarray, seeds, stream: int) -> np.ndarray:
     """Vectorized ``_min_couple`` over an array of seeds."""
-    probs = mu.probs
-    q = mu.q
+    q = len(probs)
     seeds = np.asarray(seeds, dtype=np.uint64)
     out = np.full(seeds.shape, -1, dtype=np.int64)
     active = np.arange(seeds.size)
@@ -181,8 +136,8 @@ def _min_couple_batch(mu: Distribution, seeds, coordinate: int) -> np.ndarray:
     draw = 0
     while active.size:
         s = seeds[active]
-        wx = rng.word64_np(s, coordinate, np.uint64(2 * draw))
-        wp = rng.word64_np(s, coordinate, np.uint64(2 * draw + 1))
+        wx = rng.word64_np(s, stream, np.uint64(2 * draw))
+        wp = rng.word64_np(s, stream, np.uint64(2 * draw + 1))
         ok = wx < limit_u if check_limit else np.ones(wx.shape, dtype=bool)
         x = (wx % np.uint64(q)).astype(np.int64)
         accept = ok & (rng.unit_float_np(wp) <= probs[x])
@@ -194,12 +149,11 @@ def _min_couple_batch(mu: Distribution, seeds, coordinate: int) -> np.ndarray:
     return out
 
 
-def _gumbel_couple_batch(mu: Distribution, seeds, coordinate: int) -> np.ndarray:
+def _gumbel_couple_batch(probs: np.ndarray, seeds, stream: int) -> np.ndarray:
     """Vectorized ``_gumbel_couple`` over an array of seeds."""
-    probs = mu.probs
-    q = mu.q
+    q = len(probs)
     seeds = np.asarray(seeds, dtype=np.uint64)
-    words = rng.word64_np(seeds[:, None], coordinate, np.arange(q)[None, :])
+    words = rng.word64_np(seeds[:, None], stream, np.arange(q)[None, :])
     u = rng.unit_float_np(words)
     r = np.where(u > 0.0, -np.log(np.where(u > 0.0, u, 1.0)), np.inf)
     safe = np.where(probs > 0.0, probs, 1.0)
@@ -207,12 +161,12 @@ def _gumbel_couple_batch(mu: Distribution, seeds, coordinate: int) -> np.ndarray
     return np.argmin(ratios, axis=1)
 
 
-def couple_batch(kind: CouplerKind, mu: Distribution, seeds, coordinate: int) -> np.ndarray:
-    """``couple_probs(kind, mu.probs, seed, coordinate)`` for every seed in
-    ``seeds``, bit for bit; used by the statistical checks, which need 1e5+
-    trials."""
+def couple_batch(kind: CouplerKind, probs: np.ndarray, seeds, stream: int) -> np.ndarray:
+    """Equals ``couple_probs(kind, probs, int(seed), stream)`` looped over
+    ``seeds``, bit for bit, on the same float64 array ``probs``; used by
+    the statistical checks, which need 1e5+ trials."""
     if kind is CouplerKind.MIN_COUPLER:
-        return _min_couple_batch(mu, seeds, coordinate)
+        return _min_couple_batch(probs, seeds, stream)
     if kind is CouplerKind.GUMBEL_TRICK:
-        return _gumbel_couple_batch(mu, seeds, coordinate)
+        return _gumbel_couple_batch(probs, seeds, stream)
     raise ValueError(f"unknown coupler kind: {kind!r}")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .coupler import CouplerKind, Distribution, couple_batch
-from .oracle import ConditionalOracle
+from .coupler import CouplerKind, couple_batch
+from .oracle import ConditionalOracle, _normalized
 
 _PERM_ENUM_CAP = 10_000
 _PERM_SAMPLE = 200
@@ -25,6 +25,39 @@ _STATE_CAP = 25_000
 class ReportMethod(enum.Enum):
     EXACT = "exact"
     SAMPLED = "sampled"
+
+
+@dataclass(frozen=True, eq=False)
+class Distribution:
+    """A read-only probability vector over the alphabet ``[q]`` (symbols
+    ``0..q-1``), validated and divided by its sum by the oracles' rule."""
+
+    probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.probs, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError("distribution must be a 1-d vector")
+        object.__setattr__(self, "probs", _normalized(arr, "distribution"))
+
+    @property
+    def q(self) -> int:
+        return int(self.probs.shape[0])
+
+    @classmethod
+    def from_weights(cls, weights) -> "Distribution":
+        """Normalize an arbitrary non-negative weight vector."""
+        arr = np.asarray(weights, dtype=np.float64)
+        total = float(arr.sum())
+        if not (total > 0.0) or not np.all(np.isfinite(arr)):
+            raise ValueError("weights must be finite with positive total mass")
+        return cls(arr / total)
+
+    @classmethod
+    def point_mass(cls, symbol: int, q: int) -> "Distribution":
+        arr = np.zeros(q)
+        arr[symbol] = 1.0
+        return cls(arr)
 
 
 @dataclass(frozen=True)
@@ -161,7 +194,7 @@ def check_coupler_robustness(
     if any(mu.q != mus[0].q for mu in mus):
         raise ValueError("alphabet sizes differ")
     seeds = rng.derive_seeds(seed, trials)
-    outputs = np.stack([couple_batch(kind, mu, seeds, 0) for mu in mus])
+    outputs = np.stack([couple_batch(kind, mu.probs, seeds, 0) for mu in mus])
     disagree = (outputs != outputs[0]).any(axis=0)
     freq = float(disagree.mean())
     se = math.sqrt(max(freq * (1.0 - freq), 1.0 / trials) / trials)

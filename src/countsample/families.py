@@ -12,6 +12,7 @@ import numpy as np
 from . import rng
 from .gf2 import BitMatrix, BitVector
 from .gridmatch import GridMatchingOracle
+from .hardness import _block_bits
 from .oracle import (
     AffineCodeOracle,
     ConditionalOracle,
@@ -63,12 +64,12 @@ def random_affine(n: int, constraints: int, seed: int) -> AffineCodeOracle:
     if not 0 <= constraints <= n:
         raise ValueError("constraints must lie in [0, n]")
     rows = tuple(
-        _random_bits(seed, _AFFINE_ROW_STREAM, i, n) for i in range(constraints)
+        _block_bits(seed, _AFFINE_ROW_STREAM, 0, i, n) for i in range(constraints)
     )
     matrix = BitMatrix(n, rows)
     attempt = 0
     while True:
-        bits = _random_bits(seed, _AFFINE_RHS_STREAM, attempt, max(1, constraints))
+        bits = _block_bits(seed, _AFFINE_RHS_STREAM, 0, attempt, max(1, constraints))
         bits &= (1 << constraints) - 1
         rhs = BitVector(constraints, bits)
         try:
@@ -77,15 +78,6 @@ def random_affine(n: int, constraints: int, seed: int) -> AffineCodeOracle:
             attempt += 1
             if attempt > 10_000:
                 raise RuntimeError("failed to draw a consistent affine system")
-
-
-def _random_bits(seed: int, stream: int, index: int, nbits: int) -> int:
-    """``nbits`` uniform bits taken from consecutive words of one stream."""
-    words = (nbits + 63) // 64
-    value = 0
-    for w in range(words):
-        value |= rng.word64(seed, stream, index * 1024 + w) << (64 * w)
-    return value & ((1 << nbits) - 1)
 
 
 def grid(w: int, h: int) -> GridMatchingOracle:

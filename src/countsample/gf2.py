@@ -5,7 +5,8 @@ Rows are stored as Python ints with bit ``j`` holding column ``j``
 code handles thousands of columns without special cases.  Solution counts
 are returned as integer log2 values: the affine-code instances have counts
 up to 2**n for n in the thousands, and log form keeps every consumer out
-of bignum arithmetic.
+of bignum arithmetic.  A count takes one elimination of the augmented
+system ``[A | b]``, which decides consistency and the rank together.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ class BitVector:
 
 def rank(matrix: BitMatrix) -> int:
     """GF(2) row rank via elimination on packed rows."""
-    return _rank_of_rows(matrix.rows)
+    return len(_echelon(matrix.rows))
 
 
-def _rank_of_rows(rows) -> int:
+def _echelon(rows) -> dict[int, int]:
+    """Row-reduce by leading (highest) bit: ``{lead bit: pivot row}``."""
     pivots: dict[int, int] = {}
     for row in rows:
         cur = row
@@ -70,15 +72,14 @@ def _rank_of_rows(rows) -> int:
                 pivots[lead] = cur
                 break
             cur ^= piv
-    return len(pivots)
+    return pivots
 
 
 def solution_count_log2(matrix: BitMatrix, rhs: BitVector) -> int | None:
     """log2 of the number of solutions of ``Ax = b`` over GF(2).
 
-    Returns ``None`` when the system is inconsistent.  Consistency is
-    decided by comparing the rank of ``A`` against the rank of the
-    augmented matrix ``[A | b]``.
+    Returns ``None`` when the system is inconsistent.  One elimination of
+    the augmented rows ``[A | b]`` gives the verdict and the count.
     """
     if matrix.nrows != rhs.length:
         raise ValueError(
@@ -88,11 +89,13 @@ def solution_count_log2(matrix: BitMatrix, rhs: BitVector) -> int | None:
 
 
 def _count_log2(cols: int, rows, rhs_bits: int) -> int | None:
-    r = _rank_of_rows(rows)
-    augmented = [row | (((rhs_bits >> i) & 1) << cols) for i, row in enumerate(rows)]
-    if _rank_of_rows(augmented) > r:
+    """One elimination of ``[A | b]`` with ``b`` in bit 0, below the columns.
+    A pivot at bit 0 is the equation ``0 = 1`` (inconsistent); otherwise
+    every pivot is a column pivot and the count is ``cols - rank``."""
+    pivots = _echelon((row << 1) | ((rhs_bits >> i) & 1) for i, row in enumerate(rows))
+    if 0 in pivots:
         return None
-    return cols - r
+    return cols - len(pivots)
 
 
 def solve_affine_with_pinning(

@@ -268,13 +268,18 @@ def count_hypercube(instance: HardnessInstance, pinned: Mapping[int, int]) -> in
     The partition makes the count a product over blocks, realized here as
     a sum of per-block pinned-solve log2 counts.
     """
-    index = instance.position_index()
-    local: list[list[tuple[int, int]]] = [[] for _ in range(instance.r)]
     for pos, bit in pinned.items():
         if not 0 <= pos < instance.n:
             raise ValueError(f"pinned coordinate {pos} outside [0, {instance.n})")
         if bit not in (0, 1):
             raise ValueError("hypercube pins must be bits")
+    return _count_blocks(instance, instance.position_index(), pinned)
+
+
+def _count_blocks(instance: HardnessInstance, index: Mapping, pinned: Mapping) -> int | None:
+    """``count_hypercube`` on trusted pins, given ``instance.position_index()``."""
+    local: list[list[tuple[int, int]]] = [[] for _ in range(instance.r)]
+    for pos, bit in pinned.items():
         bi, col = index[pos]
         local[bi].append((col, bit))
     total = 0
@@ -322,7 +327,7 @@ class HardnessOracle(ConditionalOracle):
             raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0") from None
 
     def _log_probability(self, pins: Mapping[int, int]) -> float:
-        count = count_hypercube(self.instance, pins)
+        count = _count_blocks(self.instance, self._index, pins)
         if count is None:
             return -math.inf
         return (count - self._support_log2) * _LN2

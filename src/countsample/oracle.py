@@ -39,7 +39,8 @@ wrapper over the same session: it rejects malformed input, raises
 and otherwise returns the session's array unchanged.
 
 Queries are read-only: every family answers from state built in its
-constructor, so no query changes an oracle or its later answers.
+constructor, so no query changes an oracle or its later answers.  Every
+probability vector a constructor takes passes one rule, ``_normalized``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import rng
-from .coupler import Distribution
 from .gf2 import BitMatrix, BitVector, bits_to_hex, hex_to_bits, solve_affine_with_pinning
 
 _LN2 = math.log(2.0)
@@ -77,6 +77,22 @@ class ZeroMeasurePinning(OracleError):
     samplers only ever pin previously sampled values, so hitting one means
     an oracle bug.
     """
+
+
+def _normalized(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` divided by its own sums along the last axis, read-only: the one
+    rule for probability vectors (non-empty, finite, non-negative, summing
+    to 1 within 1e-9), else ``ValueError`` naming ``what``."""
+    if arr.shape[-1] < 1:
+        raise ValueError(f"{what} must be non-empty")
+    if not np.isfinite(arr).all() or (arr < 0.0).any():
+        raise ValueError(f"{what} entries must be finite and non-negative")
+    sums = arr.sum(axis=-1, keepdims=True)
+    if (abs(sums - 1.0) > _SUM_TOL).any():
+        raise ValueError(f"{what} must sum to 1 within 1e-9")
+    out = arr / sums
+    out.setflags(write=False)
+    return out
 
 
 def _index(value, bound: int, what: str) -> int:
@@ -185,15 +201,9 @@ class TableOracle(ConditionalOracle):
         arr = np.asarray(probs, dtype=np.float64).reshape(-1)
         if arr.size != q**n:
             raise ValueError(f"expected {q ** n} entries, got {arr.size}")
-        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-            raise ValueError("table entries must be non-negative and finite")
-        total = float(arr.sum())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"table sums to {total!r}, not 1 within 1e-9")
         self.n = n
         self.q = q
-        self._table = (arr / total).reshape((q,) * n)
-        self._table.setflags(write=False)
+        self._table = _normalized(arr, "table").reshape((q,) * n)
 
     def _indexer(self, pins: Mapping[int, int]) -> tuple:
         return tuple(pins.get(k, slice(None)) for k in range(self.n))
@@ -230,11 +240,7 @@ class ProductOracle(ConditionalOracle):
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("factors must be an (n, q) array")
         self.n, self.q = int(arr.shape[0]), int(arr.shape[1])
-        rows = []
-        for row in arr:
-            rows.append(Distribution(row).probs)
-        self._factors = np.stack(rows)
-        self._factors.setflags(write=False)
+        self._factors = _normalized(arr, "factor row")
 
     def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
         for pos, val in pins.items():
@@ -274,7 +280,10 @@ class MarkovChainOracle(ConditionalOracle):
     variant = "markov"
 
     def __init__(self, initial, transitions) -> None:
-        init = Distribution(initial).probs
+        init = np.asarray(initial, dtype=np.float64)
+        if init.ndim != 1:
+            raise ValueError("initial distribution must be a 1-d vector")
+        init = _normalized(init, "initial distribution")
         trans = np.asarray(transitions, dtype=np.float64)
         if trans.size == 0:
             trans = trans.reshape(0, init.shape[0], init.shape[0])
@@ -284,14 +293,9 @@ class MarkovChainOracle(ConditionalOracle):
             raise ValueError("transition size does not match initial distribution")
         self.n = int(trans.shape[0]) + 1
         self.q = int(init.shape[0])
-        rows = trans.reshape(-1, self.q)
-        sums = rows.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > _SUM_TOL) or np.any(rows < 0.0):
-            raise ValueError("every transition row must be a distribution")
-        trans = (rows / sums[:, None]).reshape(self.n - 1, self.q, self.q)
+        trans = _normalized(trans, "transition row")
         self._initial = init
         self._transitions = trans
-        self._transitions.setflags(write=False)
 
         pi = np.empty((self.n, self.q))
         pi[0] = init

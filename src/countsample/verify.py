@@ -13,8 +13,8 @@ import itertools
 import numpy as np
 
 from . import rng
-from .coupler import CouplerKind, Distribution
-from .diagnostics import check_coupler_robustness, check_pinning_lemma, joint_table
+from .coupler import CouplerKind
+from .diagnostics import Distribution, check_coupler_robustness, check_pinning_lemma, joint_table
 from .families import pair_copy, random_affine, random_product, random_table, sticky_markov
 from .gridmatch import GridMatchingOracle
 from .hardness import count_hypercube, generate, marginal_oracle_view

@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's own algorithms: matchings are
 enumerated by backtracking, joint distributions by exhaustive products,
-GF(2) solution sets by trying every vector.
+GF(2) solution sets by trying every vector.  ``session_families`` is the
+shared set of oracles whose raw marginals the session and coupler
+properties draw from.
 """
 
 from __future__ import annotations
@@ -10,6 +12,17 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from countsample.families import (
+    grid,
+    pair_copy,
+    random_affine,
+    random_product,
+    random_table,
+    sticky_markov,
+)
+from countsample.hardness import generate, marginal_oracle_view
+from countsample.oracle import MarkovChainOracle, ProductOracle, TableOracle, approximate_wrap
 
 # Acceptance tests register one status line per criterion here; the
 # terminal-summary hook prints them after capture ends so the gate results
@@ -98,3 +111,23 @@ def empirical_tv(counts: np.ndarray, probs: np.ndarray) -> float:
 
 def all_configs(n: int, q: int):
     return itertools.product(range(q), repeat=n)
+
+
+def session_families():
+    # Sparse members put zero-measure pinnings within reach of random pins.
+    cyclic = np.array([[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]] * 11)
+    return [
+        ("table", random_table(4, 2, seed=3)),
+        ("table-sparse", TableOracle(3, 2, [0.25, 0.0, 0.25, 0.0, 0.0, 0.25, 0.0, 0.25])),
+        ("product", random_product(6, 3, seed=1)),
+        ("product-sparse", ProductOracle([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])),
+        ("markov", sticky_markov(40, 3, seed=6)),
+        ("markov-sparse", MarkovChainOracle([1.0, 0.0, 0.0], cyclic)),
+        ("paircopy", pair_copy(8, 3)),
+        ("affine", random_affine(8, 4, seed=7)),
+        ("grid", grid(4, 4)),
+        ("grid-2x3", grid(2, 3)),
+        ("grid-3x4", grid(3, 4)),
+        ("hardness", marginal_oracle_view(generate(16, 1.0, 6, override=(2, 8, [2, 4])))),
+        ("approximate", approximate_wrap(random_table(4, 2, seed=9), 0.3, 0.05, seed=2)),
+    ]

@@ -13,8 +13,9 @@ from scipy import stats
 from conftest import ACCEPTANCE_LINES, brute_force_count, enumerate_perfect_matchings
 from countsample import rng
 from countsample.bench import fit_scaling, mean_rounds_by_n, run_bench
-from countsample.coupler import CouplerKind, Distribution, couple_batch
+from countsample.coupler import CouplerKind, couple_batch
 from countsample.diagnostics import (
+    Distribution,
     check_pinning_lemma,
     joint_table,
     robustness_bound,
@@ -238,7 +239,7 @@ class TestCriterion07Couplers:
             bound = robustness_bound(mus)
             seeds = rng.derive_seeds(rng.word64(fam_seed, 2, 0), trials)
             for kind in COUPLERS:
-                outputs = np.stack([couple_batch(kind, mu, seeds, 0) for mu in mus])
+                outputs = np.stack([couple_batch(kind, mu.probs, seeds, 0) for mu in mus])
                 freq = float((outputs != outputs[0]).any(axis=0).mean())
                 se = math.sqrt(max(freq * (1 - freq), 1.0 / trials) / trials)
                 if freq > bound + 3 * se + 1e-9:

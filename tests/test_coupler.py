@@ -6,45 +6,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import session_families
 from countsample import rng
 from countsample.coupler import (
     CouplerKind,
-    Distribution,
     couple_batch,
     couple_probs,
     trace_gumbel,
     trace_min_coupler,
 )
-from countsample.diagnostics import robustness_bound, tv
+from countsample.diagnostics import Distribution, robustness_bound, tv
 
 COUPLERS = (CouplerKind.MIN_COUPLER, CouplerKind.GUMBEL_TRICK)
 MIN, GUMBEL = COUPLERS
+SESSION_FAMILIES = session_families()
 
 
-class TestDistribution:
-    def test_renormalizes(self):
-        d = Distribution(np.array([0.5, 0.5 + 5e-10]))
-        assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
+def _raw_vectors():
+    """Float64 arrays that never pass through ``Distribution``, with
+    zero-mass symbols, point masses and q = 1."""
+    weights = st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0)),
+        min_size=1,
+        max_size=8,
+    ).filter(lambda w: sum(w) > 0.0)
+    scaled = weights.map(lambda w: np.array(w) / np.sum(w))
+    points = st.integers(1, 8).flatmap(
+        lambda q: st.integers(0, q - 1).map(lambda k: np.eye(q)[k])
+    )
+    return st.one_of(scaled, points)
 
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            Distribution(np.array([0.5, 0.6]))
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Distribution(np.array([-0.1, 1.1]))
-
-    def test_from_weights(self):
-        d = Distribution.from_weights([2.0, 6.0])
-        assert d.probs[1] == pytest.approx(0.75)
-
-    def test_q_one(self):
-        assert Distribution(np.array([1.0])).q == 1
-
-    def test_immutable(self):
-        d = Distribution(np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            d.probs[0] = 1.0
+@st.composite
+def _session_marginals(draw):
+    """``session.marginal(t)`` of a ``session_families()`` oracle under a
+    random positive-measure pinning, pinned one symbol at a time from each
+    coordinate's own support."""
+    _, oracle = draw(st.sampled_from(SESSION_FAMILIES))
+    coords = draw(st.permutations(range(oracle.n)))
+    k = draw(st.integers(0, oracle.n - 1))
+    session = oracle.session()
+    for coord in coords[:k]:
+        support = np.flatnonzero(session.marginal(coord))
+        session.pin(coord, int(draw(st.sampled_from(support))))
+    return session.marginal(coords[k])
 
 
 class TestHandTraces:
@@ -112,7 +117,7 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown coupler kind"):
             couple_probs(kind, mu.probs, 1, 1)
         with pytest.raises(ValueError, match="unknown coupler kind"):
-            couple_batch(kind, mu, rng.derive_seeds(1, 4), 1)
+            couple_batch(kind, mu.probs, rng.derive_seeds(1, 4), 1)
 
     def test_min_coupler_without_acceptable_mass_is_bounded(self):
         with pytest.raises(RuntimeError, match="failed to terminate"):
@@ -124,14 +129,28 @@ class TestBatchEqualsScalar:
     def test_batch_matches_loop(self, kind):
         mu = Distribution.from_weights([3.0, 1.0, 2.0, 0.5, 1.5])
         seeds = rng.derive_seeds(7, 500)
-        batch = couple_batch(kind, mu, seeds, 9)
+        batch = couple_batch(kind, mu.probs, seeds, 9)
         for i in range(0, 500, 17):
             assert int(batch[i]) == couple_probs(kind, mu.probs, int(seeds[i]), 9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(_raw_vectors(), _session_marginals()),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=2**20),
+    )
+    def test_batch_equals_scalar_on_the_same_raw_array(self, probs, seed, stream):
+        seeds = rng.derive_seeds(seed, 16)
+        for kind in COUPLERS:
+            batch = couple_batch(kind, probs, seeds, stream)
+            assert [int(x) for x in batch] == [
+                couple_probs(kind, probs, int(s), stream) for s in seeds
+            ]
 
     @pytest.mark.parametrize("kind", COUPLERS)
     def test_batch_zero_mass(self, kind):
         mu = Distribution(np.array([0.5, 0.0, 0.5]))
-        out = couple_batch(kind, mu, rng.derive_seeds(3, 2000), 0)
+        out = couple_batch(kind, mu.probs, rng.derive_seeds(3, 2000), 0)
         assert not np.any(out == 1)
 
 
@@ -150,7 +169,7 @@ class TestMarginals:
     def test_chi_square(self, kind, weights):
         mu = Distribution.from_weights(weights)
         trials = 100_000
-        out = couple_batch(kind, mu, rng.derive_seeds(hash((kind.value, len(weights))) & 0xFFFF, trials), 1)
+        out = couple_batch(kind, mu.probs, rng.derive_seeds(hash((kind.value, len(weights))) & 0xFFFF, trials), 1)
         counts = np.bincount(out, minlength=mu.q)
         mask = mu.probs > 0
         _, p = stats.chisquare(counts[mask], mu.probs[mask] * trials)
@@ -164,8 +183,8 @@ class TestRobustness:
         nu = Distribution(np.array([0.75, 0.25]))
         trials = 100_000
         seeds = rng.derive_seeds(123, trials)
-        a = couple_batch(kind, mu, seeds, 0)
-        b = couple_batch(kind, nu, seeds, 0)
+        a = couple_batch(kind, mu.probs, seeds, 0)
+        b = couple_batch(kind, nu.probs, seeds, 0)
         freq = float((a != b).mean())
         d = tv(mu, nu)
         bound = 2 * d / (1 + d)
@@ -176,7 +195,7 @@ class TestRobustness:
     def test_identical_distributions_always_agree(self, kind):
         mus = [Distribution(np.array([0.2, 0.3, 0.5]))] * 4
         seeds = rng.derive_seeds(5, 5000)
-        outs = [couple_batch(kind, mu, seeds, 0) for mu in mus]
+        outs = [couple_batch(kind, mu.probs, seeds, 0) for mu in mus]
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
 
@@ -190,7 +209,7 @@ class TestRobustness:
         assert bound == pytest.approx(0.5 / 1.25)
         trials = 50_000
         seeds = rng.derive_seeds(77, trials)
-        outs = np.stack([couple_batch(kind, mu, seeds, 0) for mu in mus])
+        outs = np.stack([couple_batch(kind, mu.probs, seeds, 0) for mu in mus])
         freq = float((outs != outs[0]).any(axis=0).mean())
         se = math.sqrt(freq * (1 - freq) / trials)
         assert freq <= bound + 3 * se

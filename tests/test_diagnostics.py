@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countsample.coupler import CouplerKind, Distribution
+from countsample.coupler import CouplerKind
 from countsample.diagnostics import (
     DistanceReport,
+    Distribution,
     ReportMethod,
     check_coupler_robustness,
     check_pinning_lemma,
@@ -23,6 +24,32 @@ COUPLERS = (CouplerKind.MIN_COUPLER, CouplerKind.GUMBEL_TRICK)
 
 def D(*values) -> Distribution:
     return Distribution(np.array(values, dtype=float))
+
+
+class TestDistribution:
+    def test_renormalizes(self):
+        d = Distribution(np.array([0.5, 0.5 + 5e-10]))
+        assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_rejects_bad_sum(self):
+        with pytest.raises(ValueError):
+            Distribution(np.array([0.5, 0.6]))
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            Distribution(np.array([-0.1, 1.1]))
+
+    def test_from_weights(self):
+        d = Distribution.from_weights([2.0, 6.0])
+        assert d.probs[1] == pytest.approx(0.75)
+
+    def test_q_one(self):
+        assert Distribution(np.array([1.0])).q == 1
+
+    def test_immutable(self):
+        d = Distribution(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            d.probs[0] = 1.0
 
 
 class TestTV:

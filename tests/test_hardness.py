@@ -198,6 +198,18 @@ class TestOracleView:
             expected = np.array([1 - ones / len(consistent), ones / len(consistent)])
             np.testing.assert_allclose(oracle._marginal_probs(target, pins), expected, atol=1e-12)
 
+    def test_log_probability_is_the_hypercube_count(self, toy):
+        instance, _ = toy
+        oracle = marginal_oracle_view(instance)
+        total = instance.support_log2()
+        gen = np.random.default_rng(4)
+        for _ in range(200):
+            coords = gen.permutation(instance.n)[: int(gen.integers(0, instance.n + 1))]
+            pins = {int(c): int(gen.integers(0, 2)) for c in coords}
+            count = count_hypercube(instance, pins)
+            expected = -math.inf if count is None else (count - total) * math.log(2.0)
+            assert oracle._log_probability(pins) == expected
+
     def test_zero_measure_detected_on_public_surface(self, toy):
         instance, support = toy
         oracle = marginal_oracle_view(instance)

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_configs
+from conftest import all_configs, session_families
 from countsample.diagnostics import joint_table
 from countsample.families import (
-    grid,
     pair_copy,
     random_affine,
     random_product,
@@ -17,7 +16,6 @@ from countsample.families import (
     sticky_markov,
 )
 from countsample.gf2 import BitMatrix, BitVector, solve_affine_with_pinning
-from countsample.hardness import generate, marginal_oracle_view
 from countsample.oracle import (
     AffineCodeOracle,
     ApproximateOracle,
@@ -161,6 +159,49 @@ class TestValidation:
         oracle = random_table(3, 2, seed=0)
         with pytest.raises(MalformedQuery):
             oracle.conditional_marginal(0, {1: 7})
+
+
+BAD_ROWS = {
+    "nan": [math.nan, math.nan],
+    "inf": [math.inf, 0.0],
+    "negative": [-0.5, 1.5],
+    "bad-sum": [0.5, 0.6],
+}
+
+
+def _with_row(where: str, row):
+    """An oracle whose input at ``where`` is the probability row ``row``."""
+    ok = [0.5, 0.5]
+    if where == "table":
+        return TableOracle(1, 2, row)
+    if where == "product":
+        return ProductOracle([ok, row])
+    if where == "markov-initial":
+        return MarkovChainOracle(row, [[ok, ok]])
+    return MarkovChainOracle(ok, [[row, ok]])
+
+
+WHERE = ("table", "product", "markov-initial", "markov-transitions")
+
+
+class TestConstructorValidation:
+    @pytest.mark.parametrize("where", WHERE)
+    @pytest.mark.parametrize("bad", list(BAD_ROWS))
+    def test_bad_probability_row_raises(self, where, bad):
+        with pytest.raises(ValueError):
+            _with_row(where, BAD_ROWS[bad])
+
+    @pytest.mark.parametrize("where", WHERE)
+    def test_row_within_tolerance_is_divided_by_its_sum(self, where):
+        row = np.array([0.25, 0.75 + 5e-10])
+        oracle = _with_row(where, row)
+        stored = {
+            "table": lambda: oracle._table.reshape(-1),
+            "product": lambda: oracle._factors[1],
+            "markov-initial": lambda: oracle._initial,
+            "markov-transitions": lambda: oracle._transitions[0, 0],
+        }[where]()
+        assert stored.tobytes() == (row / row.sum()).tobytes()
 
 
 class TestTable:
@@ -351,27 +392,7 @@ class TestMarkov:
             )
 
 
-def _session_families():
-    # Sparse members put zero-measure pinnings within reach of random pins.
-    cyclic = np.array([[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]] * 11)
-    return [
-        ("table", random_table(4, 2, seed=3)),
-        ("table-sparse", TableOracle(3, 2, [0.25, 0.0, 0.25, 0.0, 0.0, 0.25, 0.0, 0.25])),
-        ("product", random_product(6, 3, seed=1)),
-        ("product-sparse", ProductOracle([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])),
-        ("markov", sticky_markov(40, 3, seed=6)),
-        ("markov-sparse", MarkovChainOracle([1.0, 0.0, 0.0], cyclic)),
-        ("paircopy", pair_copy(8, 3)),
-        ("affine", random_affine(8, 4, seed=7)),
-        ("grid", grid(4, 4)),
-        ("grid-2x3", grid(2, 3)),
-        ("grid-3x4", grid(3, 4)),
-        ("hardness", marginal_oracle_view(generate(16, 1.0, 6, override=(2, 8, [2, 4])))),
-        ("approximate", approximate_wrap(random_table(4, 2, seed=9), 0.3, 0.05, seed=2)),
-    ]
-
-
-SESSION_FAMILIES = _session_families()
+SESSION_FAMILIES = session_families()
 
 
 def _answer(ask, target):
