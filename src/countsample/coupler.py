@@ -14,14 +14,17 @@ Two kinds are provided (``CouplerKind``):
   shared unit-exponential variates keyed per symbol; symbols with zero
   mass never win, and ties break toward the lowest symbol.
 
-Each kind has one scalar entry, ``couple_probs(kind, probs, seed,
-stream)``, whose tape is the stream keyed by ``(seed, stream)``, and one
-batch entry over many seeds, ``couple_batch(kind, probs, seeds, stream)``,
-bit-identical to looping the scalar one over ``seeds``.  Both use the raw
-float64 array an oracle answers with as given, never renormalized, since a
-one-ULP change can flip a comparison.  ``trace_min_coupler`` and
-``trace_gumbel`` apply the two rules to explicit variates, as references
-for the tests.
+Each kind has one scalar rule, in ``Tape``: ``Tape(kind, seed)`` holds
+the tapes of one seed, and ``couple(probs, stream)`` couples against the
+stream keyed by ``(seed, stream)``, drawing its words the first time and
+rereading them on later calls, so a sampler that couples a position again
+draws no new words.  ``couple_probs(kind, probs, seed, stream)`` is one
+call on a fresh tape.  The batch entry over many seeds,
+``couple_batch(kind, probs, seeds, stream)``, is bit-identical to looping
+``couple_probs`` over ``seeds``.  All use the raw float64 array an oracle
+answers with as given, never renormalized, since a one-ULP change can flip
+a comparison.  ``trace_min_coupler`` and ``trace_gumbel`` apply the two
+rules to explicit variates, as references for the tests.
 
 Both satisfy the multi-distribution robustness bound
 
@@ -45,6 +48,11 @@ _SPAN = 1 << 64
 # Pairs the min coupler scans before giving up on a vector with no
 # acceptable mass; a distribution accepts each pair with probability 1/q.
 _MAX_MIN_DRAWS = 1_000_000
+# Draws whose pairs a tape keeps per stream.  A distribution needs about q
+# draws, so only alphabets in the thousands draw past it (and redraw the
+# words past it when coupled again); a vector with no acceptable mass
+# keeps 4096 draws, not all it scans.
+_KEPT_DRAWS = 4096
 
 
 class CouplerKind(enum.Enum):
@@ -59,42 +67,93 @@ def _reject_limit(q: int) -> int:
 def couple_probs(kind: CouplerKind, probs: np.ndarray, seed: int, stream: int) -> int:
     """Couple a normalized probability vector against the tape keyed by
     ``(seed, stream)``; over seeds, the output's law is ``probs``."""
-    if kind is CouplerKind.MIN_COUPLER:
-        return _min_couple(probs, seed, stream)
-    if kind is CouplerKind.GUMBEL_TRICK:
-        return _gumbel_couple(probs, seed, stream)
-    raise ValueError(f"unknown coupler kind: {kind!r}")
+    return Tape(kind, seed).couple(probs, stream)
 
 
-def _min_couple(probs: np.ndarray, seed: int, stream: int) -> int:
-    q = len(probs)
-    limit = _reject_limit(q)
-    key = rng.stream_key(seed, stream)
-    mix64 = rng.mix64
-    for draw in range(_MAX_MIN_DRAWS + 1):
-        wx = mix64(key ^ (2 * draw))
-        if wx >= limit:
-            continue
-        x = wx % q
-        if rng.unit_float(mix64(key ^ (2 * draw + 1))) <= probs[x]:
-            return x
-    raise RuntimeError("min coupler failed to terminate")
+class Tape:
+    """The tapes of one seed, each stream's words drawn once.
 
+    ``couple(probs, stream)`` equals ``couple_probs(kind, probs, seed,
+    stream)``: a stream's words are drawn the first time it is coupled
+    and kept, so coupling it again rereads them instead of redrawing.
 
-def _gumbel_couple(probs: np.ndarray, seed: int, stream: int) -> int:
-    key = rng.stream_key(seed, stream)
-    best = -1
-    best_ratio = math.inf
-    for x in range(len(probs)):
-        p = probs[x]
-        if p <= 0.0:
-            continue
-        u = rng.unit_float(rng.mix64(key ^ x))
-        ratio = math.inf if u == 0.0 else -math.log(u) / p
-        if ratio < best_ratio:
-            best_ratio = ratio
-            best = x
-    return best
+    * Min coupler: per stream, the key, the next draw index and the
+      ``(x, u)`` pairs past the rejection step, in tape order, of the
+      first ``_KEPT_DRAWS`` draws, for one alphabet size ``q`` (another
+      ``q`` starts the stream over).  A call scans the kept pairs, then
+      draws on.
+    * Gumbel trick: per stream, ``r_x = -log(u_x)`` (``inf`` when
+      ``u_x == 0``) for every symbol of the largest alphabet the stream
+      was coupled at; each call divides ``r_x / p_x``.
+
+    A tape holds what one sample has drawn and lives as long as it.
+    """
+
+    __slots__ = ("_kind", "_seed", "_streams")
+
+    def __init__(self, kind: CouplerKind, seed: int) -> None:
+        if not isinstance(kind, CouplerKind):
+            raise ValueError(f"unknown coupler kind: {kind!r}")
+        self._kind = kind
+        self._seed = seed
+        self._streams: dict = {}
+
+    def couple(self, probs: np.ndarray, stream: int) -> int:
+        if self._kind is CouplerKind.MIN_COUPLER:
+            return self._min_couple(probs, stream)
+        return self._gumbel_couple(probs, stream)
+
+    def _min_couple(self, probs: np.ndarray, stream: int) -> int:
+        q = len(probs)
+        state = self._streams.get(stream)
+        if state is None or state[0] != q:
+            state = [q, rng.stream_key(self._seed, stream), 0, []]
+            self._streams[stream] = state
+        # Python floats compare exactly as the float64 entries do, and
+        # index faster.
+        probs = probs.tolist()
+        pairs = state[3]
+        for x, u in pairs:
+            if u <= probs[x]:
+                return x
+        key = state[1]
+        limit = _reject_limit(q)
+        mix64 = rng.mix64
+        unit_float = rng.unit_float
+        for draw in range(state[2], _MAX_MIN_DRAWS + 1):
+            wx = mix64(key ^ (2 * draw))
+            if wx >= limit:
+                continue
+            x = wx % q
+            u = unit_float(mix64(key ^ (2 * draw + 1)))
+            if draw < _KEPT_DRAWS:
+                pairs.append((x, u))
+            if u <= probs[x]:
+                state[2] = min(draw + 1, _KEPT_DRAWS)
+                return x
+        state[2] = _KEPT_DRAWS
+        raise RuntimeError("min coupler failed to terminate")
+
+    def _gumbel_couple(self, probs: np.ndarray, stream: int) -> int:
+        q = len(probs)
+        r = self._streams.get(stream)
+        if r is None or len(r) < q:
+            key = rng.stream_key(self._seed, stream)
+            r = []
+            for x in range(q):
+                u = rng.unit_float(rng.mix64(key ^ x))
+                r.append(math.inf if u == 0.0 else -math.log(u))
+            self._streams[stream] = r
+        best = -1
+        best_ratio = math.inf
+        for x, p in enumerate(probs.tolist()):
+            if p <= 0.0:
+                continue
+            ratio = r[x] / p
+            if ratio < best_ratio:
+                best_ratio = ratio
+                best = x
+        return best
 
 
 def trace_min_coupler(probs, pairs: Iterable[tuple[int, float]]) -> int:
@@ -124,7 +183,7 @@ def trace_gumbel(probs, exponentials) -> int:
 
 
 def _min_couple_batch(probs: np.ndarray, seeds, stream: int) -> np.ndarray:
-    """Vectorized ``_min_couple`` over an array of seeds."""
+    """Vectorized ``Tape._min_couple`` over an array of seeds."""
     q = len(probs)
     seeds = np.asarray(seeds, dtype=np.uint64)
     out = np.full(seeds.shape, -1, dtype=np.int64)
@@ -150,7 +209,7 @@ def _min_couple_batch(probs: np.ndarray, seeds, stream: int) -> np.ndarray:
 
 
 def _gumbel_couple_batch(probs: np.ndarray, seeds, stream: int) -> np.ndarray:
-    """Vectorized ``_gumbel_couple`` over an array of seeds."""
+    """Vectorized ``Tape._gumbel_couple`` over an array of seeds."""
     q = len(probs)
     seeds = np.asarray(seeds, dtype=np.uint64)
     words = rng.word64_np(seeds[:, None], stream, np.arange(q)[None, :])

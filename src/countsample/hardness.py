@@ -415,12 +415,7 @@ def _probe_block(
 
 def _random_subset(seed: int, stream: int, index: int, size: int, take: int) -> list[int]:
     """First ``take`` entries of a seeded shuffle of range(size)."""
-    order = list(range(size))
-    counter = index * 4096
-    for i in range(size - 1, 0, -1):
-        j, counter = rng.bounded_word(seed, stream, counter, i + 1)
-        order[i], order[j] = order[j], order[i]
-    return order[:take]
+    return rng._fisher_yates(seed, stream, index * 4096, size)[:take]
 
 
 def _probe_balance(instance: HardnessInstance, trials: int, seed: int) -> dict:

@@ -31,7 +31,11 @@ matchings) lives in ``gridmatch`` and shares this module's base class.
 The samplers query through conditioning sessions (:class:`PinningSession`):
 a pinning that grows one coordinate at a time and answers marginals under
 it, bit-identical to ``_marginal_probs`` on the same pins.  Families whose
-answer can reuse the previous pinning override ``session``.
+answer can reuse the previous pinning override ``session``.  The Markov
+session and its forks share a memo of the last answer per target, keyed by
+the target's nearest pinned neighbors and their symbols, so a question
+asked again under the same neighbors is answered once; the memo lives and
+dies with the session tree, never on the oracle.
 
 The public query ``conditional_marginal(target, pins)`` is a validating
 wrapper over the same session: it rejects malformed input, raises
@@ -39,8 +43,9 @@ wrapper over the same session: it rejects malformed input, raises
 and otherwise returns the session's array unchanged.
 
 Queries are read-only: every family answers from state built in its
-constructor, so no query changes an oracle or its later answers.  Every
-probability vector a constructor takes passes one rule, ``_normalized``.
+constructor, so no query changes an oracle or its later answers, and no
+cache outlives a session.  Every probability vector a constructor takes
+passes one rule, ``_normalized``.
 """
 
 from __future__ import annotations
@@ -275,6 +280,8 @@ class MarkovChainOracle(ConditionalOracle):
     finds the neighbors by bisection, O(log|pins| + q^2 log n) per query;
     the reference ``_marginal_probs`` scans every pin, O(|pins| + q^2 log n).
     Both finish in ``_marginal_from``, so their answers are bit-identical.
+    A session and its forks share a memo (target -> neighbors, their
+    symbols and the answer), so a repeated question costs one lookup.
     """
 
     variant = "markov"
@@ -344,7 +351,7 @@ class MarkovChainOracle(ConditionalOracle):
         self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
     ) -> "_MarkovSession":
         pins = dict(base)
-        return _MarkovSession(self, pins, sorted(pins))
+        return _MarkovSession(self, pins, sorted(pins), {})
 
     def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
         left, right = self._neighbors(target, pins)
@@ -394,13 +401,25 @@ class MarkovChainOracle(ConditionalOracle):
 
 
 class _MarkovSession(PinningSession):
-    """Markov session: pinned coordinates kept sorted for bisection."""
+    """Markov session: pinned coordinates kept sorted for bisection, and a
+    memo of the last answer per target, shared with every fork.
 
-    __slots__ = ("_keys",)
+    An answer depends only on the target's nearest pinned neighbors and
+    their symbols, so the memo maps ``target`` to ``(left, right,
+    pins[left], pins[right])`` and the array computed for them; a query
+    with the same four returns that array again.  Zero-measure answers
+    raise and are not stored.  The memo holds at most ``n`` entries and
+    dies with the session and its forks.
+    """
 
-    def __init__(self, oracle: MarkovChainOracle, pins: dict[int, int], keys: list[int]) -> None:
+    __slots__ = ("_keys", "_memo")
+
+    def __init__(
+        self, oracle: MarkovChainOracle, pins: dict[int, int], keys: list[int], memo: dict
+    ) -> None:
         super().__init__(oracle, pins)
         self._keys = keys
+        self._memo = memo
 
     def pin(self, coord: int, sym: int) -> None:
         if coord not in self._pins:
@@ -409,14 +428,21 @@ class _MarkovSession(PinningSession):
 
     def marginal(self, target: int) -> np.ndarray:
         keys = self._keys
+        pins = self._pins
         lo = bisect_left(keys, target)
         hi = bisect_right(keys, target, lo)
         left = keys[lo - 1] if lo else None
         right = keys[hi] if hi < len(keys) else None
-        return self._oracle._marginal_from(target, left, right, self._pins)
+        near = (left, right, pins.get(left), pins.get(right))
+        hit = self._memo.get(target)
+        if hit is not None and hit[0] == near:
+            return hit[1]
+        probs = self._oracle._marginal_from(target, left, right, pins)
+        self._memo[target] = (near, probs)
+        return probs
 
     def fork(self) -> "_MarkovSession":
-        return _MarkovSession(self._oracle, dict(self._pins), list(self._keys))
+        return _MarkovSession(self._oracle, dict(self._pins), list(self._keys), self._memo)
 
 
 class PairCopyOracle(ConditionalOracle):

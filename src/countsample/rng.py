@@ -69,12 +69,26 @@ def bounded_word(seed: int, stream: int, counter: int, bound: int) -> tuple[int,
 
 def permutation(seed: int, n: int) -> list[int]:
     """Seeded Fisher-Yates permutation of ``range(n)``."""
-    perm = list(range(n))
-    counter = 0
+    return _fisher_yates(seed, PERMUTATION_STREAM, 0, n)
+
+
+def _fisher_yates(seed: int, stream: int, counter: int, n: int) -> list[int]:
+    """Fisher-Yates shuffle of ``range(n)`` whose swap at ``i`` takes
+    ``bounded_word(seed, stream, counter, i + 1)``, chaining the counter,
+    with the stream key computed once."""
+    key = stream_key(seed, stream)
+    order = list(range(n))
     for i in range(n - 1, 0, -1):
-        j, counter = bounded_word(seed, PERMUTATION_STREAM, counter, i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
+        bound = i + 1
+        limit = _SPAN - (_SPAN % bound)
+        while True:
+            w = mix64(key ^ counter)
+            counter += 1
+            if w < limit:
+                break
+        j = w % bound
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 def mix64_np(z: np.ndarray) -> np.ndarray:

@@ -16,13 +16,20 @@ sequential is 1, parallel is ``n``, and efficient (windowed) is
 
 Accounting: the first window position's verify query has exactly the pins
 its guess had, so it is the same query and is neither issued nor counted.
-A round over ``w`` positions issues ``w`` guesses and ``w - 1`` verifies
-(``batch_size == 2w - 1``); sequential mode is ``n`` rounds of one query.
+The trace counts the paper's fully parallel round: ``w`` guesses and
+``w - 1`` verifies over ``w`` positions (``batch_size == 2w - 1``), the
+modelled batch.  The engine stops a verify pass at its first mismatch,
+since the verifies after it cannot change the sample, so it issues fewer
+queries than the trace counts in any round that mismatches before its
+last position.  Sequential mode is ``n`` rounds of one query.
 
 Every query goes through a conditioning session (``oracle.session()``):
 the settled pinning is one session, and each verify pass pins its guesses
-into a fork of it.  ``a_history`` is the settled-prefix length after each
-round; it is strictly increasing and ends at ``n`` in every run.
+into a fork of it.  Every coupling draws from one ``coupler.Tape`` per
+sample, so a position coupled again (its verify, or its guess in a later
+round) rereads its tape instead of redrawing it.  ``a_history`` is the
+settled-prefix length after each round; it is strictly increasing and ends
+at ``n`` in every run.
 """
 
 from __future__ import annotations
@@ -34,15 +41,16 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import rng
-from .coupler import CouplerKind, couple_probs
+from .coupler import CouplerKind, Tape, couple_probs
 from .oracle import ConditionalOracle, OracleError, ZeroMeasurePinning
 
 AUTO = None
 
 
 class InconsistentOracle(OracleError):
-    """A verify pass met a zero-measure pinning that no earlier mismatch
-    explains, so the oracle contradicts its own earlier answers.
+    """A verify pass met a zero-measure pinning although it pins only
+    guesses that verified, so the oracle contradicts its own earlier
+    answers.
 
     ``round_index`` is the 1-based round and ``position`` the 1-based
     permutation position whose verify query had zero measure.
@@ -51,7 +59,7 @@ class InconsistentOracle(OracleError):
     def __init__(self, round_index: int, position: int) -> None:
         super().__init__(
             f"round {round_index}: zero-measure verify pinning at position "
-            f"{position} without an earlier mismatch"
+            f"{position} under verified guesses"
         )
         self.round_index = round_index
         self.position = position
@@ -112,10 +120,12 @@ class Sample:
 class RoundRecord:
     """One guess-and-verify round.
 
-    ``batch_size`` counts oracle queries issued: one guess per guessed
-    position and one verify per guessed position but the first, so
-    ``2 * len(guessed) - 1``; ``guessed`` holds the 1-based permutation
-    positions speculatively resampled this round;
+    ``batch_size`` is the modelled batch, the queries of the paper's fully
+    parallel round: one guess per guessed position and one verify per
+    guessed position but the first, so ``2 * len(guessed) - 1``.  The
+    engine issues no verify past ``first_mismatch``, so it can issue
+    fewer.  ``guessed`` holds the 1-based permutation positions
+    speculatively resampled this round;
     ``first_mismatch`` is the earliest guessed position whose verification
     disagreed (None when the whole batch survived).
     """
@@ -213,20 +223,21 @@ def _window_sample(
 
     The first window position's verify query would have exactly the pins
     its guess had, so it is neither issued nor counted: its verified value
-    is its guess.  A window of ``w`` positions therefore costs ``w``
-    guesses and ``w - 1`` verifies, and forks the settled session only
-    when ``w >= 2``.
+    is its guess.  A window of ``w`` positions is therefore counted as
+    ``w`` guesses and ``w - 1`` verifies, and forks the settled session
+    only when ``w >= 2``.  The verify pass stops at the first mismatch:
+    later verifies cannot change the sample, so they are counted but not
+    issued.
 
     A guessed prefix can be jointly inconsistent (the guesses are drawn
-    independently), in which case verify queries past it condition on a
-    zero-measure pinning.  Such positions lie strictly after the round's
-    first mismatch, so their values are unobservable and are ignored; a
-    zero-measure verify query before any mismatch raises
-    :class:`InconsistentOracle`.
+    independently), but a verify query conditions only on guesses that
+    verified, which the exact conditionals give positive measure.  So a
+    zero-measure verify query means the oracle contradicts its own answers
+    and raises :class:`InconsistentOracle`.
     """
     n = oracle.n
     perm = _resolve_permutation(config, n)
-    seed, kind = config.seed, config.coupler
+    couple = Tape(config.coupler, config.seed).couple
     values = [0] * n
     settled = oracle.session()
     records: list[RoundRecord] = []
@@ -240,7 +251,7 @@ def _window_sample(
         guessed = tuple(range(a + 1, end + 1))
         guesses = []
         for i in guessed:
-            guesses.append(couple_probs(kind, settled.marginal(perm[i - 1]), seed, i))
+            guesses.append(couple(settled.marginal(perm[i - 1]), i))
         mismatch = None
         if end - a > 1:
             verify = settled.fork()
@@ -250,16 +261,11 @@ def _window_sample(
                 try:
                     probs = verify.marginal(coord)
                 except ZeroMeasurePinning:
-                    if mismatch is None:
-                        raise InconsistentOracle(len(records) + 1, i) from None
-                else:
-                    # Verifies past the first mismatch cannot change the
-                    # round, but they belong to its parallel batch and are
-                    # issued and counted; only their coupling is skipped.
-                    if mismatch is None:
-                        verified = couple_probs(kind, probs, seed, i)
-                        if verified != guesses[i - a - 1]:
-                            mismatch = i
+                    raise InconsistentOracle(len(records) + 1, i) from None
+                verified = couple(probs, i)
+                if verified != guesses[i - a - 1]:
+                    mismatch = i
+                    break
                 if i < end:
                     verify.pin(coord, guesses[i - a - 1])
         if mismatch is None:

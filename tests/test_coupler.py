@@ -10,6 +10,7 @@ from conftest import session_families
 from countsample import rng
 from countsample.coupler import (
     CouplerKind,
+    Tape,
     couple_batch,
     couple_probs,
     trace_gumbel,
@@ -152,6 +153,57 @@ class TestBatchEqualsScalar:
         mu = Distribution(np.array([0.5, 0.0, 0.5]))
         out = couple_batch(kind, mu.probs, rng.derive_seeds(3, 2000), 0)
         assert not np.any(out == 1)
+
+
+def _tape_vectors():
+    """Raw float64 vectors at q in {1, 2, 16}, with zero-mass symbols and
+    point masses."""
+
+    def at(q):
+        weights = st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0)),
+            min_size=q,
+            max_size=q,
+        ).filter(lambda w: sum(w) > 0.0)
+        scaled = weights.map(lambda w: np.array(w) / np.sum(w))
+        points = st.integers(0, q - 1).map(lambda k: np.eye(q)[k])
+        return st.one_of(scaled, points)
+
+    return st.sampled_from((1, 2, 16)).flatmap(at)
+
+
+class TestTape:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.lists(st.tuples(st.integers(0, 4), _tape_vectors()), min_size=1, max_size=30),
+    )
+    def test_reused_tape_equals_a_fresh_coupling_on_every_call(self, seed, calls):
+        # Few streams, so most calls reread a stream coupled before, at the
+        # same q or another.
+        for kind in COUPLERS:
+            tape = Tape(kind, seed)
+            for stream, probs in calls:
+                expected = int(couple_batch(kind, probs, [seed], stream)[0])
+                assert tape.couple(probs, stream) == expected, (kind, stream, probs)
+
+
+    def test_streams_that_draw_past_the_kept_pairs(self):
+        # Mass 1/2 on two of q = 6 000 symbols needs about q draws, often
+        # past the tape's kept pairs.  On seed 0, stream 0, these pairs are
+        # first accepted at draws 35 706, 4 391, 25 572 and 2 024, so later
+        # calls must redraw the words past the kept pairs, not skip them.
+        # A vector with no acceptable mass scans the whole bound.
+        q, seed = 6_000, 0
+        tape = Tape(MIN, seed)
+        for a, b in ((209, 5_701), (514, 165), (4_520, 5_027), (2_838, 3_070), (514, 165)):
+            probs = np.zeros(q)
+            probs[[a, b]] = 0.5
+            assert tape.couple(probs, 0) == couple_probs(MIN, probs, seed, 0), (a, b)
+        with pytest.raises(RuntimeError, match="failed to terminate"):
+            tape.couple(np.zeros(2), 1)
+        half = np.array([0.5, 0.5])
+        assert tape.couple(half, 1) == int(couple_batch(MIN, half, [seed], 1)[0])
 
 
 class TestMarginals:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import re
 
@@ -52,6 +54,18 @@ def toy():
 
 
 class TestGenerate:
+    def test_instances_are_frozen(self):
+        # sha256 of the JSON of two seeded instances, frozen when the
+        # permutation's stream key was hoisted out of its loop.
+        frozen = {
+            (16, 5, (2, 8, (2, 4))): "8bdbac398eb29d31e62560180db09cf2f46571471079f8006531ee878a0ff8fe",
+            (32, 4, (2, 16, (8, 12))): "cd80edfd26df668e14d6552fcc84969f9a461d317acdeeac97f87384878f076a",
+        }
+        for (n, seed, (r, m, a)), digest in frozen.items():
+            instance = generate(n, 1.0, seed, override=(r, m, list(a)))
+            text = json.dumps(instance.to_json(), sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, seed)
+
     def test_blocks_partition(self, toy):
         instance, _ = toy
         flat = sorted(p for block in instance.blocks for p in block)

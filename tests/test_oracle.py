@@ -457,6 +457,39 @@ class TestSessions:
                     lambda t: oracle._marginal_probs(t, pins), target
                 ), label
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_repeated_queries_follow_every_pin(self, data):
+        # The same target before and after each pin and repin, on a parent
+        # and its forks in turn: a session that remembers earlier answers
+        # must notice every pin that changes them.
+        label, oracle = data.draw(st.sampled_from(SESSION_FAMILIES))
+        pairs, free = _draw_pins(data, oracle)
+        sessions = [(oracle.session(), {})]
+
+        def check(session, pins, target):
+            expected = _answer(lambda t: oracle._marginal_probs(t, pins), target)
+            assert _answer(session.marginal, target) == expected, label
+
+        for coord, sym in pairs:
+            if data.draw(st.booleans()):
+                parent, pins = data.draw(st.sampled_from(sessions))
+                sessions.append((parent.fork(), dict(pins)))
+            session, pins = data.draw(st.sampled_from(sessions))
+            target = data.draw(st.sampled_from(free))
+            check(session, pins, target)
+            session.pin(coord, sym)
+            pins[coord] = sym
+            check(session, pins, target)
+            if oracle.q > 1 and data.draw(st.booleans()):
+                sym = (sym + data.draw(st.integers(1, oracle.q - 1))) % oracle.q
+                session.pin(coord, sym)
+                pins[coord] = sym
+                check(session, pins, target)
+        for session, pins in sessions:
+            for target in free:
+                check(session, pins, target)
+
     def test_zero_measure_on_both_paths(self):
         oracle = dict(SESSION_FAMILIES)["markov-sparse"]
         # The chain starts in state 0, and 0 -> 2 is impossible.

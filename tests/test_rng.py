@@ -79,3 +79,27 @@ def test_stream_key_hoist_matches_word64(seed, stream, counter):
     assert word == rng.word64(seed, stream, counter)
     # The vectorized path derives the key on its own.
     assert word == int(rng.word64_np(np.uint64(seed), stream, np.uint64(counter)))
+
+
+def _bounded_word_shuffle(seed, stream, counter, n):
+    """The shuffle as one ``bounded_word`` per swap: the reference for the
+    loop that computes the stream key once."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j, counter = rng.bounded_word(seed, stream, counter, i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(WORD, st.integers(min_value=-(2**63), max_value=2**64 - 1), WORD, st.integers(0, 40))
+def test_shuffle_matches_bounded_word_reference(seed, stream, counter, n):
+    expected = _bounded_word_shuffle(seed, stream, counter, n)
+    assert rng._fisher_yates(seed, stream, counter, n) == expected
+
+
+def test_permutation_matches_bounded_word_reference():
+    for seed in range(300):
+        for n in (0, 1, 2, 3, 8, 33):
+            expected = _bounded_word_shuffle(seed, rng.PERMUTATION_STREAM, 0, n)
+            assert rng.permutation(seed, n) == expected, (seed, n)

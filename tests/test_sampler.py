@@ -156,6 +156,37 @@ def test_golden_digest():
     assert _golden_digest() == GOLDEN_DIGEST
 
 
+def _state(value):
+    """Everything an object holds, as comparable values: arrays by dtype,
+    shape and bytes, objects by their attributes."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, dict):
+        return {k: _state(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return tuple(_state(v) for v in value)
+    if hasattr(value, "__dict__"):
+        return (type(value).__name__, _state(vars(value)))
+    return value
+
+
+@pytest.mark.parametrize(
+    "label,oracle", family_instances() + [("markov-long", sticky_markov(300, 3, seed=5))]
+)
+def test_no_state_outlives_a_sample(label, oracle):
+    before = _state(oracle)
+    jobs = [
+        SamplerConfig(seed=seed, coupler=kind, mode=mode)
+        for seed in (3, 4)
+        for kind in COUPLERS
+        for mode in Mode
+    ]
+    first = [run_sampler(oracle, job) for job in jobs]
+    # Each job again, after every other job has run in between.
+    assert [run_sampler(oracle, job) for job in jobs] == first, label
+    assert _state(oracle) == before, label
+
+
 class TestConfigTypes:
     def test_coupler_string_rejected(self):
         # a string used to fall through to the gumbel coupler silently
