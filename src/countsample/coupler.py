@@ -18,13 +18,15 @@ Each kind has one scalar rule, in ``Tape``: ``Tape(kind, seed)`` holds
 the tapes of one seed, and ``couple(probs, stream)`` couples against the
 stream keyed by ``(seed, stream)``, drawing its words the first time and
 rereading them on later calls, so a sampler that couples a position again
-draws no new words.  ``couple_probs(kind, probs, seed, stream)`` is one
-call on a fresh tape.  The batch entry over many seeds,
-``couple_batch(kind, probs, seeds, stream)``, is bit-identical to looping
-``couple_probs`` over ``seeds``.  All use the raw float64 array an oracle
-answers with as given, never renormalized, since a one-ULP change can flip
-a comparison.  ``trace_min_coupler`` and ``trace_gumbel`` apply the two
-rules to explicit variates, as references for the tests.
+draws no new words.  A sampler's tape, ``Tape(kind, seed, q, n)``, draws
+the first words of streams ``1..n`` ahead in one vectorized pass; the
+rule then reads them as it would have drawn them.  ``couple_probs(kind,
+probs, seed, stream)`` is one call on a fresh tape.  The batch entry over
+many seeds, ``couple_batch(kind, probs, seeds, stream)``, is bit-identical
+to looping ``couple_probs`` over ``seeds``.  All use the raw float64 array
+an oracle answers with as given, never renormalized, since a one-ULP
+change can flip a comparison.  ``trace_min_coupler`` and ``trace_gumbel``
+apply the two rules to explicit variates, as references for the tests.
 
 Both satisfy the multi-distribution robustness bound
 
@@ -53,6 +55,16 @@ _MAX_MIN_DRAWS = 1_000_000
 # words past it when coupled again); a vector with no acceptable mass
 # keeps 4096 draws, not all it scans.
 _KEPT_DRAWS = 4096
+# Words a tape draws ahead, in one numpy pass, for streams 1..n (at most
+# this many, at any n and q).  A min stream is drawn ahead by
+# min(_PREFILL_DRAWS_PER_SYMBOL * q, _KEPT_DRAWS) draws: a distribution
+# accepts each draw with probability 1/q, so at most about e^-4 of first
+# calls draw past them.
+_PREFILL_WORDS = 1 << 16
+_PREFILL_DRAWS_PER_SYMBOL = 4
+# Fewer words than this are cheaper to draw one at a time than in one
+# numpy pass, whose fixed cost is about that many scalar words.
+_PREFILL_MIN_WORDS = 64
 
 
 class CouplerKind(enum.Enum):
@@ -78,25 +90,79 @@ class Tape:
     and kept, so coupling it again rereads them instead of redrawing.
 
     * Min coupler: per stream, the key, the next draw index and the
-      ``(x, u)`` pairs past the rejection step, in tape order, of the
-      first ``_KEPT_DRAWS`` draws, for one alphabet size ``q`` (another
-      ``q`` starts the stream over).  A call scans the kept pairs, then
-      draws on.
+      ``x`` and ``u`` lists of the pairs past the rejection step, in tape
+      order, of the first ``_KEPT_DRAWS`` draws, for one alphabet size
+      ``q`` (another ``q`` starts the stream over).  A call scans the
+      kept pairs, then draws on.
     * Gumbel trick: per stream, ``r_x = -log(u_x)`` (``inf`` when
       ``u_x == 0``) for every symbol of the largest alphabet the stream
       was coupled at; each call divides ``r_x / p_x``.
 
+    ``Tape(kind, seed, q, n)`` is the tape of a sampler that will couple
+    streams ``1..n`` at alphabet size ``q``: it draws their first words
+    in one numpy pass (``_prefill``), and a stream's first call starts
+    from them.  The pairs of the first ``_PREFILL_DRAWS_PER_SYMBOL * q``
+    draws (min coupler) or the ``q`` unit floats (gumbel trick, whose
+    ``-log`` is taken per stream on its first call) are the words the
+    scalar draw would make, so every output is unchanged.  Draws past
+    them, other streams and other alphabet sizes draw one word at a time,
+    as does ``Tape(kind, seed)``.  At most ``_PREFILL_WORDS`` words are
+    drawn ahead, and none when there are too few to pay for the pass.
+
     A tape holds what one sample has drawn and lives as long as it.
     """
 
-    __slots__ = ("_kind", "_seed", "_streams")
+    __slots__ = ("_kind", "_seed", "_streams", "_ahead")
 
-    def __init__(self, kind: CouplerKind, seed: int) -> None:
+    def __init__(self, kind: CouplerKind, seed: int, q: int = 0, n: int = 0) -> None:
         if not isinstance(kind, CouplerKind):
             raise ValueError(f"unknown coupler kind: {kind!r}")
         self._kind = kind
         self._seed = seed
         self._streams: dict = {}
+        self._ahead = None
+        if q > 0 and n > 0:
+            self._prefill(q, n)
+
+    def _prefill(self, q: int, n: int) -> None:
+        """Draw, in one numpy pass, what streams ``1..m`` first need at
+        alphabet size ``q``, ``m = min(n, _PREFILL_WORDS // words per
+        stream)``: the key and the pairs of the first ``depth`` draws (min
+        coupler), or the ``q`` unit floats (gumbel trick).
+
+        Skipped when the first calls on all ``n`` streams would draw fewer
+        than ``_PREFILL_MIN_WORDS`` words one at a time (a key is two
+        words, then about ``2q`` for the min coupler or ``q`` for the
+        gumbel trick): numpy's fixed cost per pass is larger.
+
+        ``_ahead`` is ``(q, keys, depth, xs, us)`` for the min coupler,
+        with the ``x`` and ``u`` lists of stream ``s`` at index ``s - 1``
+        (rejected draws left out), or ``(q, units)`` for the gumbel trick.
+        """
+        if self._kind is CouplerKind.MIN_COUPLER:
+            first = 2 + 2 * q
+            depth = min(_PREFILL_DRAWS_PER_SYMBOL * q, _KEPT_DRAWS)
+            m = min(n, _PREFILL_WORDS // (2 * depth + 1))
+        else:
+            first = 2 + q
+            m = min(n, _PREFILL_WORDS // (q + 1))
+        if n * first < _PREFILL_MIN_WORDS or m < 1:
+            return
+        keys = rng.stream_keys_np(self._seed, np.arange(1, m + 1))
+        if self._kind is CouplerKind.GUMBEL_TRICK:
+            words = rng.mix64_np(keys[:, None] ^ np.arange(q, dtype=np.uint64))
+            self._ahead = (q, rng.unit_float_np(words).tolist())
+            return
+        words = rng.mix64_np(keys[:, None] ^ np.arange(2 * depth, dtype=np.uint64))
+        wx = words[:, 0::2]
+        xs = (wx % np.uint64(q)).tolist()
+        us = rng.unit_float_np(words[:, 1::2]).tolist()
+        limit = _reject_limit(q)
+        if limit < _SPAN and (wx >= np.uint64(limit)).any():
+            for xr, ur, kr in zip(xs, us, (wx < np.uint64(limit)).tolist()):
+                xr[:] = [x for x, ok in zip(xr, kr) if ok]
+                ur[:] = [u for u, ok in zip(ur, kr) if ok]
+        self._ahead = (q, keys.tolist(), depth, xs, us)
 
     def couple(self, probs: np.ndarray, stream: int) -> int:
         if self._kind is CouplerKind.MIN_COUPLER:
@@ -107,13 +173,19 @@ class Tape:
         q = len(probs)
         state = self._streams.get(stream)
         if state is None or state[0] != q:
-            state = [q, rng.stream_key(self._seed, stream), 0, []]
+            ahead = self._ahead
+            if ahead is not None and ahead[0] == q and 0 < stream <= len(ahead[1]):
+                i = stream - 1
+                state = [q, ahead[1][i], ahead[2], ahead[3][i][:], ahead[4][i][:]]
+            else:
+                state = [q, rng.stream_key(self._seed, stream), 0, [], []]
             self._streams[stream] = state
         # Python floats compare exactly as the float64 entries do, and
         # index faster.
         probs = probs.tolist()
-        pairs = state[3]
-        for x, u in pairs:
+        xs = state[3]
+        us = state[4]
+        for x, u in zip(xs, us):
             if u <= probs[x]:
                 return x
         key = state[1]
@@ -127,7 +199,8 @@ class Tape:
             x = wx % q
             u = unit_float(mix64(key ^ (2 * draw + 1)))
             if draw < _KEPT_DRAWS:
-                pairs.append((x, u))
+                xs.append(x)
+                us.append(u)
             if u <= probs[x]:
                 state[2] = min(draw + 1, _KEPT_DRAWS)
                 return x
@@ -138,11 +211,15 @@ class Tape:
         q = len(probs)
         r = self._streams.get(stream)
         if r is None or len(r) < q:
-            key = rng.stream_key(self._seed, stream)
-            r = []
-            for x in range(q):
-                u = rng.unit_float(rng.mix64(key ^ x))
-                r.append(math.inf if u == 0.0 else -math.log(u))
+            ahead = self._ahead
+            if ahead is not None and ahead[0] >= q and 0 < stream <= len(ahead[1]):
+                units = ahead[1][stream - 1]
+            else:
+                key = rng.stream_key(self._seed, stream)
+                units = [rng.unit_float(rng.mix64(key ^ x)) for x in range(q)]
+            # math.log on Python floats, not np.log, which need not match
+            # libm to the last bit.
+            r = [math.inf if u == 0.0 else -math.log(u) for u in units]
             self._streams[stream] = r
         best = -1
         best_ratio = math.inf

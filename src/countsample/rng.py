@@ -103,6 +103,13 @@ def mix64_np(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def stream_keys_np(seed: int, streams) -> np.ndarray:
+    """Vectorized :func:`stream_key` over an integer array of streams
+    under one seed (streams wrap to 64 bits as ``stream & _MASK`` does)."""
+    tag = mix64((seed & _MASK) ^ _SEED_TAG) ^ _STREAM_TAG
+    return mix64_np(np.asarray(streams).astype(np.uint64) ^ np.uint64(tag))
+
+
 def word64_np(seeds, stream: int, counters) -> np.ndarray:
     """Vectorized :func:`word64`; ``seeds`` and ``counters`` broadcast."""
     s = np.asarray(seeds, dtype=np.uint64)

@@ -23,11 +23,14 @@ since the verifies after it cannot change the sample, so it issues fewer
 queries than the trace counts in any round that mismatches before its
 last position.  Sequential mode is ``n`` rounds of one query.
 
-Every query goes through a conditioning session (``oracle.session()``):
-the settled pinning is one session, and each verify pass pins its guesses
-into a fork of it.  Every coupling draws from one ``coupler.Tape`` per
-sample, so a position coupled again (its verify, or its guess in a later
-round) rereads its tape instead of redrawing it.  ``a_history`` is the
+Every query goes through one conditioning session per sample
+(``oracle.session()``), which holds the settled pinning.  A verify pass
+stops at its first mismatch, so every symbol it reaches is final: it pins
+each one into the session as it goes, and each coordinate is pinned once.
+Every coupling draws from one ``coupler.Tape`` per sample, built for
+streams ``1..n`` so their first words come in one vectorized draw; a
+position coupled again (its verify, or its guess in a later round)
+rereads its tape instead of redrawing it.  ``a_history`` is the
 settled-prefix length after each round; it is strictly increasing and ends
 at ``n`` in every run.
 """
@@ -217,17 +220,19 @@ def _window_sample(
     Each round takes the window of the ``theta`` positions after the
     settled prefix (fewer at the end).  It guesses every window position
     from the settled pinning, then verifies each guess against the guesses
-    before it, in a fork of the settled session, with the same tape.  The
-    settled prefix advances to the first mismatch, taking its verified
-    symbol, or to the window end when every guess verifies.
+    before it, with the same tape.  The settled prefix advances to the
+    first mismatch, taking its verified symbol, or to the window end when
+    every guess verifies.
 
     The first window position's verify query would have exactly the pins
     its guess had, so it is neither issued nor counted: its verified value
     is its guess.  A window of ``w`` positions is therefore counted as
-    ``w`` guesses and ``w - 1`` verifies, and forks the settled session
-    only when ``w >= 2``.  The verify pass stops at the first mismatch:
-    later verifies cannot change the sample, so they are counted but not
-    issued.
+    ``w`` guesses and ``w - 1`` verifies.  The verify pass stops at the
+    first mismatch: later verifies cannot change the sample, so they are
+    counted but not issued.  Every symbol the pass reaches is therefore
+    final and is pinned straight into the settled session, so a verify
+    query sees the settled prefix and the verified guesses before it, and
+    no session is forked.
 
     A guessed prefix can be jointly inconsistent (the guesses are drawn
     independently), but a verify query conditions only on guesses that
@@ -237,7 +242,7 @@ def _window_sample(
     """
     n = oracle.n
     perm = _resolve_permutation(config, n)
-    couple = Tape(config.coupler, config.seed).couple
+    couple = Tape(config.coupler, config.seed, oracle.q, n).couple
     values = [0] * n
     settled = oracle.session()
     records: list[RoundRecord] = []
@@ -252,32 +257,23 @@ def _window_sample(
         guesses = []
         for i in guessed:
             guesses.append(couple(settled.marginal(perm[i - 1]), i))
+        coord = perm[a]
+        values[coord] = guesses[0]
+        settled.pin(coord, guesses[0])
         mismatch = None
-        if end - a > 1:
-            verify = settled.fork()
-            verify.pin(perm[a], guesses[0])
-            for i in range(a + 2, end + 1):
-                coord = perm[i - 1]
-                try:
-                    probs = verify.marginal(coord)
-                except ZeroMeasurePinning:
-                    raise InconsistentOracle(len(records) + 1, i) from None
-                verified = couple(probs, i)
-                if verified != guesses[i - a - 1]:
-                    mismatch = i
-                    break
-                if i < end:
-                    verify.pin(coord, guesses[i - a - 1])
-        if mismatch is None:
-            a_new = end
-        else:
-            a_new = mismatch
-            guesses[mismatch - a - 1] = verified
-        for j in range(a, a_new):
-            coord = perm[j]
-            symbol = guesses[j - a]
+        a_new = end
+        for i in range(a + 2, end + 1):
+            coord = perm[i - 1]
+            try:
+                probs = settled.marginal(coord)
+            except ZeroMeasurePinning:
+                raise InconsistentOracle(len(records) + 1, i) from None
+            symbol = couple(probs, i)
             values[coord] = symbol
             settled.pin(coord, symbol)
+            if symbol != guesses[i - a - 1]:
+                mismatch = a_new = i
+                break
         batch = 2 * len(guessed) - 1
         total_queries += batch
         records.append(RoundRecord(batch, guessed, mismatch))

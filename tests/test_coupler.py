@@ -1,4 +1,7 @@
+import contextlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import session_families
-from countsample import rng
+from countsample import coupler, rng
 from countsample.coupler import (
     CouplerKind,
     Tape,
@@ -123,6 +126,12 @@ class TestDispatch:
     def test_min_coupler_without_acceptable_mass_is_bounded(self):
         with pytest.raises(RuntimeError, match="failed to terminate"):
             couple_probs(CouplerKind.MIN_COUPLER, np.zeros(2), 5, 1)
+        # The same on a stream whose first draws a sampler's tape drew ahead.
+        tape = Tape(CouplerKind.MIN_COUPLER, 5, 2, 64)
+        with pytest.raises(RuntimeError, match="failed to terminate"):
+            tape.couple(np.zeros(2), 1)
+        half = np.array([0.5, 0.5])
+        assert tape.couple(half, 1) == couple_probs(CouplerKind.MIN_COUPLER, half, 5, 1)
 
 
 class TestBatchEqualsScalar:
@@ -155,21 +164,42 @@ class TestBatchEqualsScalar:
         assert not np.any(out == 1)
 
 
+def _vectors_at(q):
+    """Raw float64 vectors of length ``q``, with zero-mass symbols and
+    point masses."""
+    weights = st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0)),
+        min_size=q,
+        max_size=q,
+    ).filter(lambda w: sum(w) > 0.0)
+    scaled = weights.map(lambda w: np.array(w) / np.sum(w))
+    points = st.integers(0, q - 1).map(lambda k: np.eye(q)[k])
+    return st.one_of(scaled, points)
+
+
 def _tape_vectors():
     """Raw float64 vectors at q in {1, 2, 16}, with zero-mass symbols and
     point masses."""
+    return st.sampled_from((1, 2, 16)).flatmap(_vectors_at)
 
-    def at(q):
-        weights = st.lists(
-            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0)),
-            min_size=q,
-            max_size=q,
-        ).filter(lambda w: sum(w) > 0.0)
-        scaled = weights.map(lambda w: np.array(w) / np.sum(w))
-        points = st.integers(0, q - 1).map(lambda k: np.eye(q)[k])
-        return st.one_of(scaled, points)
 
-    return st.sampled_from((1, 2, 16)).flatmap(at)
+@st.composite
+def _prefilled_calls(draw):
+    """``(q, n, calls)``: a sampler tape's alphabet size and stream count,
+    and calls on streams ``0..n + 2`` (inside and outside ``1..n``), mostly
+    at ``q`` and sometimes at another alphabet size."""
+    sizes = (1, 2, 3, 16)
+    q = draw(st.sampled_from(sizes))
+    n = draw(st.integers(1, 12))
+    vectors = st.one_of(_vectors_at(q), st.sampled_from(sizes).flatmap(_vectors_at))
+    calls = draw(st.lists(st.tuples(st.integers(0, n + 2), vectors), min_size=1, max_size=30))
+    return q, n, calls
+
+
+def _half_limit(q):
+    """A rejection limit that rejects about half of all words."""
+    half = 1 << 63
+    return half - half % q
 
 
 class TestTape:
@@ -187,6 +217,68 @@ class TestTape:
                 expected = int(couple_batch(kind, probs, [seed], stream)[0])
                 assert tape.couple(probs, stream) == expected, (kind, stream, probs)
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.booleans(),
+        st.booleans(),
+        _prefilled_calls(),
+    )
+    def test_prefilled_tape_equals_couple_probs_on_every_call(
+        self, seed, every_size, rejections, case
+    ):
+        # ``every_size`` draws ahead even where the words are too few to
+        # pay for it; ``rejections`` makes about half of all words fall
+        # past the rejection limit, on the drawn-ahead and scalar paths.
+        q, n, calls = case
+        with contextlib.ExitStack() as stack:
+            if every_size:
+                stack.enter_context(mock.patch.object(coupler, "_PREFILL_MIN_WORDS", 0))
+            if rejections:
+                stack.enter_context(mock.patch.object(coupler, "_reject_limit", _half_limit))
+            for kind in COUPLERS:
+                tape = Tape(kind, seed, q, n)
+                if every_size:
+                    assert tape._ahead is not None
+                for stream, probs in calls:
+                    expected = couple_probs(kind, probs, seed, stream)
+                    assert tape.couple(probs, stream) == expected, (kind, stream, probs)
+
+    def test_a_prefilled_stream_draws_on_past_its_depth(self):
+        # One draw per symbol drawn ahead, at q = 3.  On these streams every
+        # drawn-ahead x is 0, so a vector without mass on 0 draws on past
+        # them, and which of symbols 1 and 2 it returns depends on the
+        # draws after them.
+        seed, q, n = 7, 3, 600
+        deep = [
+            s
+            for s in range(1, n + 1)
+            if all(rng.mix64(rng.stream_key(seed, s) ^ (2 * d)) % q == 0 for d in range(q))
+        ]
+        assert len(deep) >= 10
+        vectors = ([0.0, 0.5, 0.5], [0.0, 0.3, 0.7], [0.2, 0.4, 0.4], [0.0, 0.6, 0.4])
+        with mock.patch.object(coupler, "_PREFILL_DRAWS_PER_SYMBOL", 1):
+            tape = Tape(MIN, seed, q, n)
+        assert tape._ahead is not None
+        for stream in deep:
+            for probs in map(np.array, vectors):
+                assert tape.couple(probs, stream) == couple_probs(MIN, probs, seed, stream)
+
+    def test_words_drawn_ahead_are_capped(self):
+        # Uncapped, the first case alone would draw 3.2e6 words ahead.
+        cases = ((MIN, 2, 200_000), (MIN, 10_000, 50), (GUMBEL, 2, 200_000), (GUMBEL, 100_000, 4))
+        for kind, q, n in cases:
+            tracemalloc.start()
+            try:
+                tape = Tape(kind, 3, q, n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, (kind, q, n, peak)
+            probs = np.full(q, 1.0 / q)
+            for stream in (1, n):
+                assert tape.couple(probs, stream) == couple_probs(kind, probs, 3, stream)
 
     def test_streams_that_draw_past_the_kept_pairs(self):
         # Mass 1/2 on two of q = 6 000 symbols needs about q draws, often

@@ -81,6 +81,21 @@ def test_stream_key_hoist_matches_word64(seed, stream, counter):
     assert word == int(rng.word64_np(np.uint64(seed), stream, np.uint64(counter)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=-(2**63), max_value=2**64 - 1),
+    st.lists(WORD, max_size=20),
+    st.lists(st.integers(min_value=-(2**63), max_value=-1), max_size=5),
+)
+def test_stream_keys_np_matches_stream_key(seed, streams, negative):
+    # uint64 streams over the full 64 bits; int64 negatives wrap as
+    # ``stream & _MASK`` does (the reserved streams are negative).
+    for arr in (np.array(streams, dtype=np.uint64), np.array(negative, dtype=np.int64)):
+        keys = rng.stream_keys_np(seed, arr)
+        assert keys.dtype == np.uint64 and keys.shape == arr.shape
+        assert [int(k) for k in keys] == [rng.stream_key(seed, int(s)) for s in arr]
+
+
 def _bounded_word_shuffle(seed, stream, counter, n):
     """The shuffle as one ``bounded_word`` per swap: the reference for the
     loop that computes the stream key once."""

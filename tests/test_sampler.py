@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import empirical_tv
-from countsample.coupler import CouplerKind
+from conftest import empirical_tv, session_families
+from countsample import rng
+from countsample.coupler import CouplerKind, couple_probs
 from countsample.diagnostics import joint_table
 from countsample.families import (
     grid,
@@ -15,9 +18,13 @@ from countsample.families import (
     random_table,
     sticky_markov,
 )
+from countsample.hardness import generate, marginal_oracle_view
 from countsample.oracle import (
     ConditionalOracle,
+    MarkovChainOracle,
     OracleError,
+    ProductOracle,
+    TableOracle,
     ZeroMeasurePinning,
     approximate_wrap,
 )
@@ -185,6 +192,176 @@ def test_no_state_outlives_a_sample(label, oracle):
     # Each job again, after every other job has run in between.
     assert [run_sampler(oracle, job) for job in jobs] == first, label
     assert _state(oracle) == before, label
+
+
+def _sparse_row(q):
+    """A length-``q`` weight row with zeros, positive at one drawn symbol."""
+    row = st.lists(st.sampled_from((0.0, 0.2, 1.0, 3.0)), min_size=q, max_size=q)
+    return st.tuples(row, st.integers(0, q - 1)).map(
+        lambda rk: [w if i != rk[1] else max(w, 1.0) for i, w in enumerate(rk[0])]
+    )
+
+
+def _normalized_rows(rows):
+    arr = np.array(rows, dtype=np.float64)
+    return arr / arr.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def _sparse_table(draw):
+    n, q = draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    return TableOracle(n, q, _normalized_rows(draw(_sparse_row(q**n))))
+
+
+@st.composite
+def _sparse_markov(draw):
+    n, q = draw(st.integers(1, 12)), draw(st.integers(2, 3))
+    init = _normalized_rows(draw(_sparse_row(q)))
+    rows = draw(st.lists(_sparse_row(q), min_size=(n - 1) * q, max_size=(n - 1) * q))
+    trans = _normalized_rows(rows).reshape(n - 1, q, q) if n > 1 else np.empty((0, q, q))
+    return MarkovChainOracle(init, trans)
+
+
+@st.composite
+def _grid(draw):
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if (w * h) % 2:
+        w += 1
+    return grid(w, h)
+
+
+@st.composite
+def _hardness(draw):
+    r = draw(st.integers(1, 3))
+    m = draw(st.integers(max(r, 2), 6))
+    a = sorted(draw(st.lists(st.integers(0, m - 1), min_size=r, max_size=r, unique=True)))
+    return marginal_oracle_view(generate(r * m, 1.0, draw(_SEEDS), override=(r, m, a)))
+
+
+_SEEDS = st.integers(0, 2**32)
+# Random small instances of each ``session_families()`` family, by label.
+_RANDOM_FAMILIES = {
+    "table": st.builds(random_table, st.integers(1, 4), st.integers(1, 3), _SEEDS),
+    "table-sparse": _sparse_table(),
+    "product": st.builds(random_product, st.integers(1, 6), st.integers(1, 4), _SEEDS),
+    "product-sparse": st.integers(1, 6).flatmap(
+        lambda n: st.integers(1, 4).flatmap(
+            lambda q: st.lists(_sparse_row(q), min_size=n, max_size=n).map(
+                lambda rows: ProductOracle(_normalized_rows(rows))
+            )
+        )
+    ),
+    "markov": st.builds(sticky_markov, st.integers(1, 30), st.integers(2, 4), _SEEDS),
+    "markov-sparse": _sparse_markov(),
+    "paircopy": st.builds(pair_copy, st.integers(1, 5).map(lambda k: 2 * k), st.integers(2, 3)),
+    "affine": st.integers(1, 10).flatmap(
+        lambda n: st.builds(random_affine, st.just(n), st.integers(0, n), _SEEDS)
+    ),
+    "grid": _grid(),
+    "grid-2x3": _grid(),
+    "grid-3x4": _grid(),
+    "hardness": _hardness(),
+    "approximate": st.builds(
+        approximate_wrap,
+        st.builds(random_table, st.integers(1, 4), st.integers(2, 3), _SEEDS),
+        st.floats(0.0, 0.9),
+        st.floats(0.0, 0.5),
+        _SEEDS,
+    ),
+}
+
+
+def test_random_families_cover_the_session_families():
+    assert set(_RANDOM_FAMILIES) == {label for label, _ in session_families()}
+
+
+def _reference_values(oracle, config):
+    """Position ``i`` coupled, on the tape keyed by ``(seed, i)``, against
+    the reference ``_marginal_probs`` of its coordinate under the final
+    values of positions ``1..i-1``: no session, no tape reuse."""
+    n = oracle.n
+    if config.permutation is PermutationMode.IDENTITY:
+        perm = list(range(n))
+    else:
+        perm = rng.permutation(config.seed, n)
+    values = [0] * n
+    pins = {}
+    for i, coord in enumerate(perm, start=1):
+        probs = oracle._marginal_probs(coord, pins)
+        values[coord] = pins[coord] = couple_probs(config.coupler, probs, config.seed, i)
+    return tuple(values)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_every_mode_equals_a_from_scratch_reference(data):
+    label = data.draw(st.sampled_from(sorted(_RANDOM_FAMILIES)))
+    oracle = data.draw(_RANDOM_FAMILIES[label])
+    config = SamplerConfig(
+        seed=data.draw(st.integers(0, 2**64 - 1)),
+        coupler=data.draw(st.sampled_from(COUPLERS)),
+        permutation=data.draw(st.sampled_from(PERMS)),
+    )
+    theta = data.draw(st.integers(1, oracle.n + 2))
+    expected = _reference_values(oracle, config)
+    presets = ((Mode.SEQUENTIAL, None), (Mode.PARALLEL, None), (Mode.EFFICIENT, theta))
+    for mode, preset_theta in presets:
+        job = SamplerConfig(
+            seed=config.seed,
+            coupler=config.coupler,
+            mode=mode,
+            theta=preset_theta,
+            permutation=config.permutation,
+        )
+        sample, trace = run_sampler(oracle, job)
+        assert sample.values == expected, (label, mode, preset_theta)
+        _assert_accounting(trace, oracle.n)
+
+
+class _NoForkSession:
+    """Another session's pins and marginals; ``fork`` raises."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+
+    def pin(self, coord, sym):
+        self._inner.pin(coord, sym)
+
+    def marginal(self, target):
+        return self._inner.marginal(target)
+
+    def fork(self):
+        raise RuntimeError("the engine forked a session")
+
+
+class _NoForkOracle(ConditionalOracle):
+    """``inner`` whose sessions cannot fork."""
+
+    def __init__(self, inner: ConditionalOracle) -> None:
+        self.inner = inner
+        self.n = inner.n
+        self.q = inner.q
+
+    def session(self, base=()):
+        return _NoForkSession(self.inner.session(base))
+
+    def _marginal_probs(self, target, pins):
+        return self.inner._marginal_probs(target, pins)
+
+    def _log_probability(self, pins):
+        return self.inner._log_probability(pins)
+
+    def to_json(self):
+        return self.inner.to_json()
+
+
+@pytest.mark.parametrize("label,oracle", family_instances() + session_families())
+def test_the_engine_never_forks(label, oracle):
+    for seed in range(4):
+        for kind in COUPLERS:
+            for mode, theta in ((Mode.PARALLEL, None), (Mode.EFFICIENT, 2), (Mode.EFFICIENT, 3)):
+                config = SamplerConfig(seed=seed, coupler=kind, mode=mode, theta=theta)
+                assert run_sampler(_NoForkOracle(oracle), config) == run_sampler(oracle, config)
 
 
 class TestConfigTypes:
