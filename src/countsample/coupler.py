@@ -14,19 +14,20 @@ Two kinds are provided (``CouplerKind``):
   shared unit-exponential variates keyed per symbol; symbols with zero
   mass never win, and ties break toward the lowest symbol.
 
-Each kind has one scalar rule, in ``Tape``: ``Tape(kind, seed)`` holds
-the tapes of one seed, and ``couple(probs, stream)`` couples against the
-stream keyed by ``(seed, stream)``, drawing its words the first time and
-rereading them on later calls, so a sampler that couples a position again
-draws no new words.  A sampler's tape, ``Tape(kind, seed, q, n)``, draws
-the first words of streams ``1..n`` ahead in one vectorized pass; the
-rule then reads them as it would have drawn them.  ``couple_probs(kind,
-probs, seed, stream)`` is one call on a fresh tape.  The batch entry over
-many seeds, ``couple_batch(kind, probs, seeds, stream)``, is bit-identical
-to looping ``couple_probs`` over ``seeds``.  All use the raw float64 array
-an oracle answers with as given, never renormalized, since a one-ULP
-change can flip a comparison.  ``trace_min_coupler`` and ``trace_gumbel``
-apply the two rules to explicit variates, as references for the tests.
+Each kind has one scalar rule, in ``Tape``: ``Tape(kind, seed, q)`` holds
+one seed's tapes for ``q`` symbols, and ``couple(probs, stream)`` couples
+against the stream keyed by ``(seed, stream)``, drawing its words the first
+time and rereading them on later calls, so a sampler that couples a
+position again draws no new words.  A sampler's tape, ``Tape(kind, seed,
+q, n)``, draws the first words of streams ``1..n`` ahead in one vectorized
+pass; the rule then reads them as it would have drawn them.
+``couple_probs(kind, probs, seed, stream)`` is one call on a fresh tape.
+The batch entry over many seeds, ``couple_batch(kind, probs, seeds,
+stream)``, is bit-identical to looping ``couple_probs`` over ``seeds``.
+All use the raw float64 array an oracle answers with as given, never
+renormalized, since a one-ULP change can flip a comparison.
+``trace_min_coupler`` and ``trace_gumbel`` apply the two rules to explicit
+variates, as references for the tests.
 
 Both satisfy the multi-distribution robustness bound
 
@@ -65,6 +66,9 @@ _PREFILL_DRAWS_PER_SYMBOL = 4
 # Fewer words than this are cheaper to draw one at a time than in one
 # numpy pass, whose fixed cost is about that many scalar words.
 _PREFILL_MIN_WORDS = 64
+# Relative gap under which the gumbel batch recouples a row by the scalar
+# rule: np.log can differ from math.log by a ULP, which flips near ties.
+_GUMBEL_NEAR_TIE = 1e-9
 
 
 class CouplerKind(enum.Enum):
@@ -79,65 +83,65 @@ def _reject_limit(q: int) -> int:
 def couple_probs(kind: CouplerKind, probs: np.ndarray, seed: int, stream: int) -> int:
     """Couple a normalized probability vector against the tape keyed by
     ``(seed, stream)``; over seeds, the output's law is ``probs``."""
-    return Tape(kind, seed).couple(probs, stream)
+    return Tape(kind, seed, len(probs)).couple(probs, stream)
 
 
 class Tape:
-    """The tapes of one seed, each stream's words drawn once.
+    """One seed's tapes at one alphabet size, each stream's words drawn once.
 
     ``couple(probs, stream)`` equals ``couple_probs(kind, probs, seed,
     stream)``: a stream's words are drawn the first time it is coupled
-    and kept, so coupling it again rereads them instead of redrawing.
+    and kept, so coupling it again rereads them instead of redrawing.  A
+    vector of other than ``q`` entries raises ``ValueError``.
 
     * Min coupler: per stream, the key, the next draw index and the
       ``x`` and ``u`` lists of the pairs past the rejection step, in tape
-      order, of the first ``_KEPT_DRAWS`` draws, for one alphabet size
-      ``q`` (another ``q`` starts the stream over).  A call scans the
-      kept pairs, then draws on.
+      order, of the first ``_KEPT_DRAWS`` draws.  A call scans the kept
+      pairs, then draws on.
     * Gumbel trick: per stream, ``r_x = -log(u_x)`` (``inf`` when
-      ``u_x == 0``) for every symbol of the largest alphabet the stream
-      was coupled at; each call divides ``r_x / p_x``.
+      ``u_x == 0``) for every symbol; each call divides ``r_x / p_x``.
 
     ``Tape(kind, seed, q, n)`` is the tape of a sampler that will couple
-    streams ``1..n`` at alphabet size ``q``: it draws their first words
-    in one numpy pass (``_prefill``), and a stream's first call starts
-    from them.  The pairs of the first ``_PREFILL_DRAWS_PER_SYMBOL * q``
-    draws (min coupler) or the ``q`` unit floats (gumbel trick, whose
-    ``-log`` is taken per stream on its first call) are the words the
-    scalar draw would make, so every output is unchanged.  Draws past
-    them, other streams and other alphabet sizes draw one word at a time,
-    as does ``Tape(kind, seed)``.  At most ``_PREFILL_WORDS`` words are
-    drawn ahead, and none when there are too few to pay for the pass.
+    streams ``1..n``: it draws their first words in one numpy pass
+    (``_prefill``), and a stream's first call starts from them.  The
+    pairs of the first ``_PREFILL_DRAWS_PER_SYMBOL * q`` draws (min
+    coupler) or the ``q`` unit floats (gumbel trick, whose ``-log`` is
+    taken per stream on its first call) are the words the scalar draw
+    would make, so every output is unchanged.  Draws past them and other
+    streams draw one word at a time, as does ``Tape(kind, seed, q)``.  At
+    most ``_PREFILL_WORDS`` words are drawn ahead, and none when there
+    are too few to pay for the pass.
 
     A tape holds what one sample has drawn and lives as long as it.
     """
 
-    __slots__ = ("_kind", "_seed", "_streams", "_ahead")
+    __slots__ = ("_kind", "_seed", "_q", "_streams", "_ahead")
 
-    def __init__(self, kind: CouplerKind, seed: int, q: int = 0, n: int = 0) -> None:
+    def __init__(self, kind: CouplerKind, seed: int, q: int, n: int = 0) -> None:
         if not isinstance(kind, CouplerKind):
             raise ValueError(f"unknown coupler kind: {kind!r}")
         self._kind = kind
         self._seed = seed
+        self._q = q
         self._streams: dict = {}
         self._ahead = None
-        if q > 0 and n > 0:
+        if n > 0:
             self._prefill(q, n)
 
     def _prefill(self, q: int, n: int) -> None:
-        """Draw, in one numpy pass, what streams ``1..m`` first need at
-        alphabet size ``q``, ``m = min(n, _PREFILL_WORDS // words per
-        stream)``: the key and the pairs of the first ``depth`` draws (min
-        coupler), or the ``q`` unit floats (gumbel trick).
+        """Draw, in one numpy pass, what streams ``1..m`` first need,
+        ``m = min(n, _PREFILL_WORDS // words per stream)``: the key and the
+        pairs of the first ``depth`` draws (min coupler), or the ``q`` unit
+        floats (gumbel trick).
 
         Skipped when the first calls on all ``n`` streams would draw fewer
         than ``_PREFILL_MIN_WORDS`` words one at a time (a key is two
         words, then about ``2q`` for the min coupler or ``q`` for the
         gumbel trick): numpy's fixed cost per pass is larger.
 
-        ``_ahead`` is ``(q, keys, depth, xs, us)`` for the min coupler,
-        with the ``x`` and ``u`` lists of stream ``s`` at index ``s - 1``
-        (rejected draws left out), or ``(q, units)`` for the gumbel trick.
+        ``_ahead`` is ``(keys, depth, xs, us)`` for the min coupler, with
+        the ``x`` and ``u`` lists of stream ``s`` at index ``s - 1``
+        (rejected draws left out), or the unit floats for the gumbel trick.
         """
         if self._kind is CouplerKind.MIN_COUPLER:
             first = 2 + 2 * q
@@ -151,7 +155,7 @@ class Tape:
         keys = rng.stream_keys_np(self._seed, np.arange(1, m + 1))
         if self._kind is CouplerKind.GUMBEL_TRICK:
             words = rng.mix64_np(keys[:, None] ^ np.arange(q, dtype=np.uint64))
-            self._ahead = (q, rng.unit_float_np(words).tolist())
+            self._ahead = rng.unit_float_np(words).tolist()
             return
         words = rng.mix64_np(keys[:, None] ^ np.arange(2 * depth, dtype=np.uint64))
         wx = words[:, 0::2]
@@ -162,37 +166,39 @@ class Tape:
             for xr, ur, kr in zip(xs, us, (wx < np.uint64(limit)).tolist()):
                 xr[:] = [x for x, ok in zip(xr, kr) if ok]
                 ur[:] = [u for u, ok in zip(ur, kr) if ok]
-        self._ahead = (q, keys.tolist(), depth, xs, us)
+        self._ahead = (keys.tolist(), depth, xs, us)
 
     def couple(self, probs: np.ndarray, stream: int) -> int:
+        if len(probs) != self._q:
+            raise ValueError(f"a tape for {self._q} symbols cannot couple {len(probs)}")
         if self._kind is CouplerKind.MIN_COUPLER:
             return self._min_couple(probs, stream)
         return self._gumbel_couple(probs, stream)
 
     def _min_couple(self, probs: np.ndarray, stream: int) -> int:
-        q = len(probs)
         state = self._streams.get(stream)
-        if state is None or state[0] != q:
+        if state is None:
             ahead = self._ahead
-            if ahead is not None and ahead[0] == q and 0 < stream <= len(ahead[1]):
+            if ahead is not None and 0 < stream <= len(ahead[0]):
                 i = stream - 1
-                state = [q, ahead[1][i], ahead[2], ahead[3][i][:], ahead[4][i][:]]
+                state = [ahead[0][i], ahead[1], ahead[2][i], ahead[3][i]]
             else:
-                state = [q, rng.stream_key(self._seed, stream), 0, [], []]
+                state = [rng.stream_key(self._seed, stream), 0, [], []]
             self._streams[stream] = state
         # Python floats compare exactly as the float64 entries do, and
         # index faster.
         probs = probs.tolist()
-        xs = state[3]
-        us = state[4]
+        xs = state[2]
+        us = state[3]
         for x, u in zip(xs, us):
             if u <= probs[x]:
                 return x
-        key = state[1]
+        key = state[0]
+        q = self._q
         limit = _reject_limit(q)
         mix64 = rng.mix64
         unit_float = rng.unit_float
-        for draw in range(state[2], _MAX_MIN_DRAWS + 1):
+        for draw in range(state[1], _MAX_MIN_DRAWS + 1):
             wx = mix64(key ^ (2 * draw))
             if wx >= limit:
                 continue
@@ -202,21 +208,20 @@ class Tape:
                 xs.append(x)
                 us.append(u)
             if u <= probs[x]:
-                state[2] = min(draw + 1, _KEPT_DRAWS)
+                state[1] = min(draw + 1, _KEPT_DRAWS)
                 return x
-        state[2] = _KEPT_DRAWS
+        state[1] = _KEPT_DRAWS
         raise RuntimeError("min coupler failed to terminate")
 
     def _gumbel_couple(self, probs: np.ndarray, stream: int) -> int:
-        q = len(probs)
         r = self._streams.get(stream)
-        if r is None or len(r) < q:
+        if r is None:
             ahead = self._ahead
-            if ahead is not None and ahead[0] >= q and 0 < stream <= len(ahead[1]):
-                units = ahead[1][stream - 1]
+            if ahead is not None and 0 < stream <= len(ahead):
+                units = ahead[stream - 1]
             else:
                 key = rng.stream_key(self._seed, stream)
-                units = [rng.unit_float(rng.mix64(key ^ x)) for x in range(q)]
+                units = [rng.unit_float(rng.mix64(key ^ x)) for x in range(self._q)]
             # math.log on Python floats, not np.log, which need not match
             # libm to the last bit.
             r = [math.inf if u == 0.0 else -math.log(u) for u in units]
@@ -286,7 +291,8 @@ def _min_couple_batch(probs: np.ndarray, seeds, stream: int) -> np.ndarray:
 
 
 def _gumbel_couple_batch(probs: np.ndarray, seeds, stream: int) -> np.ndarray:
-    """Vectorized ``Tape._gumbel_couple`` over an array of seeds."""
+    """Vectorized ``Tape._gumbel_couple`` over an array of seeds; rows whose
+    two smallest ratios nearly tie are recoupled by the scalar rule."""
     q = len(probs)
     seeds = np.asarray(seeds, dtype=np.uint64)
     words = rng.word64_np(seeds[:, None], stream, np.arange(q)[None, :])
@@ -294,7 +300,12 @@ def _gumbel_couple_batch(probs: np.ndarray, seeds, stream: int) -> np.ndarray:
     r = np.where(u > 0.0, -np.log(np.where(u > 0.0, u, 1.0)), np.inf)
     safe = np.where(probs > 0.0, probs, 1.0)
     ratios = np.where(probs > 0.0, r / safe, np.inf)
-    return np.argmin(ratios, axis=1)
+    out = np.argmin(ratios, axis=1)
+    if q > 1:
+        two = np.partition(ratios, 1, axis=1)
+        for row in np.flatnonzero(two[:, 1] <= two[:, 0] * (1.0 + _GUMBEL_NEAR_TIE)).tolist():
+            out[row] = couple_probs(CouplerKind.GUMBEL_TRICK, probs, int(seeds[row]), stream)
+    return out
 
 
 def couple_batch(kind: CouplerKind, probs: np.ndarray, seeds, stream: int) -> np.ndarray:

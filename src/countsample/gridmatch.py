@@ -281,8 +281,7 @@ class GridMatchingOracle(ConditionalOracle):
     def session(
         self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
     ) -> "_GridSession":
-        pins = dict(base)
-        return _GridSession(self, pins, self._alive_weights(pins))
+        return _GridSession(self, dict(base))
 
     def _alive_weights(self, pins: Mapping[int, int]) -> np.ndarray:
         """Table weights, zeroed where a configuration disagrees with a pin."""
@@ -314,29 +313,20 @@ class GridMatchingOracle(ConditionalOracle):
 class _GridSession(PinningSession):
     """Grid session: the table weights still alive under the pins.
 
-    ``pin`` zeroes the configurations that disagree with the new pin (a
-    repinned row recomputes from all pins); the alive array is replaced,
-    never written, so a fork shares it until either side pins.
+    ``pin`` zeroes the configurations that disagree with the new pin, one
+    0/1 mask multiply per pin, so the alive weights are the same floats in
+    any pin order.
     """
 
     __slots__ = ("_alive",)
 
-    def __init__(
-        self, oracle: GridMatchingOracle, pins: dict[int, int], alive: np.ndarray
-    ) -> None:
+    def __init__(self, oracle: GridMatchingOracle, pins: dict[int, int]) -> None:
         super().__init__(oracle, pins)
-        self._alive = alive
+        self._alive = oracle._alive_weights(pins)
 
     def pin(self, coord: int, sym: int) -> None:
-        repin = coord in self._pins
-        self._pins[coord] = sym
-        if repin:
-            self._alive = self._oracle._alive_weights(self._pins)
-        else:
-            self._alive = self._alive * (self._oracle._dirs[coord] == sym)
+        super().pin(coord, sym)
+        self._alive = self._alive * (self._oracle._dirs[coord] == sym)
 
     def marginal(self, target: int) -> np.ndarray:
         return self._oracle._marginal_from(target, self._alive)
-
-    def fork(self) -> "_GridSession":
-        return _GridSession(self._oracle, dict(self._pins), self._alive)

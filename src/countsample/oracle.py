@@ -29,13 +29,13 @@ Concrete families:
 matchings) lives in ``gridmatch`` and shares this module's base class.
 
 The samplers query through conditioning sessions (:class:`PinningSession`):
-a pinning that grows one coordinate at a time and answers marginals under
-it, bit-identical to ``_marginal_probs`` on the same pins.  Families whose
-answer can reuse the previous pinning override ``session``.  The Markov
-session and its forks share a memo of the last answer per target, keyed by
-the target's nearest pinned neighbors and their symbols, so a question
-asked again under the same neighbors is answered once; the memo lives and
-dies with the session tree, never on the oracle.
+a pinning that grows one coordinate at a time, each pinned once, whose
+answers are bit-identical to ``_marginal_probs`` on the same pins in any
+pin order.  Families whose answer can reuse the previous pinning override
+``session``.  The Markov session memoizes the last answer per target,
+keyed by the target's nearest pinned neighbors and their symbols, so a
+question asked again under them is answered once; the memo lives and dies
+with one session, never on the oracle.
 
 The public query ``conditional_marginal(target, pins)`` is a validating
 wrapper over the same session: it rejects malformed input, raises
@@ -71,8 +71,8 @@ class OracleError(Exception):
 
 class MalformedQuery(OracleError):
     """Raised on a target, pinned coordinate or symbol that is not an
-    integer (``bool`` included) or lies out of range, or on a pinned
-    target."""
+    integer (``bool`` included) or lies out of range, on a pinned target,
+    or on a session coordinate pinned twice."""
 
 
 class ZeroMeasurePinning(OracleError):
@@ -112,10 +112,13 @@ def _index(value, bound: int, what: str) -> int:
 class PinningSession:
     """A pinning that grows one coordinate at a time, queried in place.
 
-    ``pin`` adds (or overwrites) one coordinate, ``marginal`` answers the
-    target's conditional under the current pins, and ``fork`` returns an
-    independent copy.  Inputs are trusted, as for ``_marginal_probs``, whose
-    answer (and ``ZeroMeasurePinning``) this default session returns.
+    The contract every session keeps: the pinning is append-only.  ``pin``
+    adds one coordinate not pinned yet; a coordinate pinned twice raises
+    ``MalformedQuery`` and leaves the session as it was.  ``marginal``
+    answers the target's conditional under the pins so far, and its bytes
+    depend on the set of pins, never on the order they arrived in.  Other
+    inputs are trusted, as for ``_marginal_probs``, whose answer (and
+    ``ZeroMeasurePinning``) this default session returns.
     """
 
     __slots__ = ("_oracle", "_pins")
@@ -125,13 +128,12 @@ class PinningSession:
         self._pins = pins
 
     def pin(self, coord: int, sym: int) -> None:
+        if coord in self._pins:
+            raise MalformedQuery(f"coordinate {coord} is already pinned")
         self._pins[coord] = sym
 
     def marginal(self, target: int) -> np.ndarray:
         return self._oracle._marginal_probs(target, self._pins)
-
-    def fork(self) -> "PinningSession":
-        return PinningSession(self._oracle, dict(self._pins))
 
 
 class ConditionalOracle(ABC):
@@ -280,8 +282,8 @@ class MarkovChainOracle(ConditionalOracle):
     finds the neighbors by bisection, O(log|pins| + q^2 log n) per query;
     the reference ``_marginal_probs`` scans every pin, O(|pins| + q^2 log n).
     Both finish in ``_marginal_from``, so their answers are bit-identical.
-    A session and its forks share a memo (target -> neighbors, their
-    symbols and the answer), so a repeated question costs one lookup.
+    A session keeps a memo (target -> neighbors, their symbols and the
+    answer), so a repeated question costs one lookup.
     """
 
     variant = "markov"
@@ -350,8 +352,7 @@ class MarkovChainOracle(ConditionalOracle):
     def session(
         self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
     ) -> "_MarkovSession":
-        pins = dict(base)
-        return _MarkovSession(self, pins, sorted(pins), {})
+        return _MarkovSession(self, dict(base))
 
     def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
         left, right = self._neighbors(target, pins)
@@ -402,29 +403,29 @@ class MarkovChainOracle(ConditionalOracle):
 
 class _MarkovSession(PinningSession):
     """Markov session: pinned coordinates kept sorted for bisection, and a
-    memo of the last answer per target, shared with every fork.
+    memo of the last answer per target.
 
     An answer depends only on the target's nearest pinned neighbors and
     their symbols, so the memo maps ``target`` to ``(left, right,
     pins[left], pins[right])`` and the array computed for them; a query
     with the same four returns that array again.  Zero-measure answers
     raise and are not stored.  The memo holds at most ``n`` entries and
-    dies with the session and its forks.
+    dies with the session.
     """
 
     __slots__ = ("_keys", "_memo")
 
-    def __init__(
-        self, oracle: MarkovChainOracle, pins: dict[int, int], keys: list[int], memo: dict
-    ) -> None:
+    def __init__(self, oracle: MarkovChainOracle, pins: dict[int, int]) -> None:
         super().__init__(oracle, pins)
-        self._keys = keys
-        self._memo = memo
+        self._keys = sorted(pins)
+        self._memo = {}
 
     def pin(self, coord: int, sym: int) -> None:
-        if coord not in self._pins:
-            insort(self._keys, coord)
+        # The base check, inlined: the engine pins every coordinate here.
+        if coord in self._pins:
+            raise MalformedQuery(f"coordinate {coord} is already pinned")
         self._pins[coord] = sym
+        insort(self._keys, coord)
 
     def marginal(self, target: int) -> np.ndarray:
         keys = self._keys
@@ -440,9 +441,6 @@ class _MarkovSession(PinningSession):
         probs = self._oracle._marginal_from(target, left, right, pins)
         self._memo[target] = (near, probs)
         return probs
-
-    def fork(self) -> "_MarkovSession":
-        return _MarkovSession(self._oracle, dict(self._pins), list(self._keys), self._memo)
 
 
 class PairCopyOracle(ConditionalOracle):

@@ -232,7 +232,7 @@ def _window_sample(
     counted but not issued.  Every symbol the pass reaches is therefore
     final and is pinned straight into the settled session, so a verify
     query sees the settled prefix and the verified guesses before it, and
-    no session is forked.
+    one session holds the whole sample, each coordinate pinned once.
 
     A guessed prefix can be jointly inconsistent (the guesses are drawn
     independently), but a verify query conditions only on guesses that

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import ACCEPTANCE_LINES, brute_force_count, enumerate_perfect_matchings
+from support import ACCEPTANCE_LINES, brute_force_count, enumerate_perfect_matchings
 from countsample import rng
 from countsample.bench import fit_scaling, mean_rounds_by_n, run_bench
 from countsample.coupler import CouplerKind, couple_batch

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import session_families
+from support import session_families
 from countsample import coupler, rng
 from countsample.coupler import (
     CouplerKind,
@@ -157,6 +157,45 @@ class TestBatchEqualsScalar:
                 couple_probs(kind, probs, int(s), stream) for s in seeds
             ]
 
+    def test_gumbel_batch_equals_scalar_where_log_differs(self):
+        # On these seeds (stream 0) np.log and math.log differ by one ULP
+        # on a unit, which flips the argmin this close to a tie.
+        for seed, p, expected in (
+            (252, 0.17284797644357677, 1),
+            (494, 0.2277541512595898, 1),
+            (726, 0.08389303833121474, 0),
+        ):
+            probs = np.array([p, 1.0 - p])
+            assert couple_probs(GUMBEL, probs, seed, 0) == expected
+            assert couple_batch(GUMBEL, probs, [seed], 0).tolist() == [expected], seed
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=2**20))
+    def test_gumbel_batch_equals_scalar_around_the_tie(self, base, stream):
+        # ``[p, 1 - p]`` ties the two ratios at ``p = r0 / (r0 + r1)``.
+        # Step p 40 ULPs either side of it, on ``base`` and on the first
+        # seeds after it whose units np.log and math.log take apart, where
+        # a one-ULP difference can flip the argmin.
+        seeds = np.arange(base, base + 2048, dtype=np.uint64)
+        units = rng.unit_float_np(rng.word64_np(seeds[:, None], stream, np.arange(2)[None, :]))
+        scalar = np.array([[-math.log(u) for u in row] for row in units.tolist()])
+        apart = seeds[(-np.log(units) != scalar).any(axis=1)]
+        for seed in [base] + apart[:4].tolist():
+            key = rng.stream_key(seed, stream)
+            r0, r1 = (-math.log(rng.unit_float(rng.mix64(key ^ x))) for x in range(2))
+            tie = r0 / (r0 + r1)
+            ps = [tie]
+            for toward in (0.0, 1.0):
+                p = tie
+                for _ in range(40):
+                    p = float(np.nextafter(p, toward))
+                    ps.append(p)
+            for p in ps:
+                probs = np.array([p, 1.0 - p])
+                expected = couple_probs(GUMBEL, probs, seed, stream)
+                got = couple_batch(GUMBEL, probs, [seed], stream).tolist()
+                assert got == [expected], (seed, p)
+
     @pytest.mark.parametrize("kind", COUPLERS)
     def test_batch_zero_mass(self, kind):
         mu = Distribution(np.array([0.5, 0.0, 0.5]))
@@ -177,22 +216,25 @@ def _vectors_at(q):
     return st.one_of(scaled, points)
 
 
-def _tape_vectors():
-    """Raw float64 vectors at q in {1, 2, 16}, with zero-mass symbols and
-    point masses."""
-    return st.sampled_from((1, 2, 16)).flatmap(_vectors_at)
+@st.composite
+def _tape_calls(draw):
+    """``(q, calls)``: an alphabet size in {1, 2, 16} and calls at it on
+    streams 0..4, so most calls reread a stream coupled before."""
+    q = draw(st.sampled_from((1, 2, 16)))
+    calls = draw(st.lists(st.tuples(st.integers(0, 4), _vectors_at(q)), min_size=1, max_size=30))
+    return q, calls
 
 
 @st.composite
 def _prefilled_calls(draw):
     """``(q, n, calls)``: a sampler tape's alphabet size and stream count,
-    and calls on streams ``0..n + 2`` (inside and outside ``1..n``), mostly
-    at ``q`` and sometimes at another alphabet size."""
-    sizes = (1, 2, 3, 16)
-    q = draw(st.sampled_from(sizes))
+    and calls at ``q`` on streams ``0..n + 2`` (inside and outside
+    ``1..n``)."""
+    q = draw(st.sampled_from((1, 2, 3, 16)))
     n = draw(st.integers(1, 12))
-    vectors = st.one_of(_vectors_at(q), st.sampled_from(sizes).flatmap(_vectors_at))
-    calls = draw(st.lists(st.tuples(st.integers(0, n + 2), vectors), min_size=1, max_size=30))
+    calls = draw(
+        st.lists(st.tuples(st.integers(0, n + 2), _vectors_at(q)), min_size=1, max_size=30)
+    )
     return q, n, calls
 
 
@@ -204,19 +246,24 @@ def _half_limit(q):
 
 class TestTape:
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=2**32),
-        st.lists(st.tuples(st.integers(0, 4), _tape_vectors()), min_size=1, max_size=30),
-    )
-    def test_reused_tape_equals_a_fresh_coupling_on_every_call(self, seed, calls):
-        # Few streams, so most calls reread a stream coupled before, at the
-        # same q or another.
+    @given(st.integers(min_value=0, max_value=2**32), _tape_calls())
+    def test_reused_tape_equals_a_fresh_coupling_on_every_call(self, seed, case):
+        q, calls = case
         for kind in COUPLERS:
-            tape = Tape(kind, seed)
+            tape = Tape(kind, seed, q)
             for stream, probs in calls:
                 expected = int(couple_batch(kind, probs, [seed], stream)[0])
                 assert tape.couple(probs, stream) == expected, (kind, stream, probs)
 
+    @pytest.mark.parametrize("kind", COUPLERS)
+    def test_a_vector_of_another_length_is_refused(self, kind):
+        for n in (0, 64):
+            tape = Tape(kind, 3, 2, n)
+            for probs in (np.ones(1), np.full(3, 1.0 / 3)):
+                with pytest.raises(ValueError, match="2 symbols"):
+                    tape.couple(probs, 1)
+            half = np.array([0.5, 0.5])
+            assert tape.couple(half, 1) == couple_probs(kind, half, 3, 1)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -287,11 +334,12 @@ class TestTape:
         # calls must redraw the words past the kept pairs, not skip them.
         # A vector with no acceptable mass scans the whole bound.
         q, seed = 6_000, 0
-        tape = Tape(MIN, seed)
+        tape = Tape(MIN, seed, q)
         for a, b in ((209, 5_701), (514, 165), (4_520, 5_027), (2_838, 3_070), (514, 165)):
             probs = np.zeros(q)
             probs[[a, b]] = 0.5
             assert tape.couple(probs, 0) == couple_probs(MIN, probs, seed, 0), (a, b)
+        tape = Tape(MIN, seed, 2)
         with pytest.raises(RuntimeError, match="failed to terminate"):
             tape.couple(np.zeros(2), 1)
         half = np.array([0.5, 0.5])

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gf2_solutions_bruteforce
+from support import gf2_solutions_bruteforce
 from countsample.gf2 import (
     BitMatrix,
     BitVector,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import empirical_tv, session_families
+from support import empirical_tv, session_families
 from countsample import rng
 from countsample.coupler import CouplerKind, couple_probs
 from countsample.diagnostics import joint_table
@@ -318,32 +318,34 @@ def test_every_mode_equals_a_from_scratch_reference(data):
         _assert_accounting(trace, oracle.n)
 
 
-class _NoForkSession:
-    """Another session's pins and marginals; ``fork`` raises."""
+class _RecordedSession:
+    """Another session's pins and marginals; ``pinned`` lists the
+    coordinates of its base and of every ``pin``."""
 
-    def __init__(self, inner) -> None:
+    def __init__(self, inner, base) -> None:
         self._inner = inner
+        self.pinned = list(dict(base))
 
     def pin(self, coord, sym):
         self._inner.pin(coord, sym)
+        self.pinned.append(coord)
 
     def marginal(self, target):
         return self._inner.marginal(target)
 
-    def fork(self):
-        raise RuntimeError("the engine forked a session")
 
-
-class _NoForkOracle(ConditionalOracle):
-    """``inner`` whose sessions cannot fork."""
+class _RecordingOracle(ConditionalOracle):
+    """``inner``, keeping every session it opens."""
 
     def __init__(self, inner: ConditionalOracle) -> None:
         self.inner = inner
         self.n = inner.n
         self.q = inner.q
+        self.sessions: list[_RecordedSession] = []
 
     def session(self, base=()):
-        return _NoForkSession(self.inner.session(base))
+        self.sessions.append(_RecordedSession(self.inner.session(base), base))
+        return self.sessions[-1]
 
     def _marginal_probs(self, target, pins):
         return self.inner._marginal_probs(target, pins)
@@ -357,11 +359,16 @@ class _NoForkOracle(ConditionalOracle):
 
 @pytest.mark.parametrize("label,oracle", family_instances() + session_families())
 def test_the_engine_never_forks(label, oracle):
+    # One session holds the whole sample, and it pins every coordinate
+    # once: the engine never copies a sample's pinning into another.
     for seed in range(4):
         for kind in COUPLERS:
             for mode, theta in ((Mode.PARALLEL, None), (Mode.EFFICIENT, 2), (Mode.EFFICIENT, 3)):
                 config = SamplerConfig(seed=seed, coupler=kind, mode=mode, theta=theta)
-                assert run_sampler(_NoForkOracle(oracle), config) == run_sampler(oracle, config)
+                recording = _RecordingOracle(oracle)
+                assert run_sampler(recording, config) == run_sampler(oracle, config)
+                pinned = [sorted(session.pinned) for session in recording.sessions]
+                assert pinned == [list(range(oracle.n))]
 
 
 class TestConfigTypes:
