@@ -301,10 +301,9 @@ def _gumbel_couple_batch(probs: np.ndarray, seeds, stream: int) -> np.ndarray:
     safe = np.where(probs > 0.0, probs, 1.0)
     ratios = np.where(probs > 0.0, r / safe, np.inf)
     out = np.argmin(ratios, axis=1)
-    if q > 1:
-        two = np.partition(ratios, 1, axis=1)
-        for row in np.flatnonzero(two[:, 1] <= two[:, 0] * (1.0 + _GUMBEL_NEAR_TIE)).tolist():
-            out[row] = couple_probs(CouplerKind.GUMBEL_TRICK, probs, int(seeds[row]), stream)
+    near = ratios <= np.take_along_axis(ratios, out[:, None], axis=1) * (1.0 + _GUMBEL_NEAR_TIE)
+    for row in np.flatnonzero(np.count_nonzero(near, axis=1) > 1).tolist():
+        out[row] = couple_probs(CouplerKind.GUMBEL_TRICK, probs, int(seeds[row]), stream)
     return out
 
 

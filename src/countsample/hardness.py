@@ -75,8 +75,8 @@ class HardnessInstance:
             raise ValueError("every block must be non-empty")
         if max(sizes) - min(sizes) > 1:
             raise ValueError("block sizes may differ by at most one")
-        if len(self.a) != self.r or len(self.blocks) != self.r:
-            raise ValueError("need exactly r blocks and r constraint slacks")
+        if not len(self.a) == len(self.blocks) == len(self.codes) == self.r:
+            raise ValueError("need exactly r blocks, r constraint slacks and r codes")
         for prev, cur in zip(self.a, self.a[1:]):
             if cur <= prev:
                 raise ValueError("a_i must be strictly increasing")
@@ -131,7 +131,7 @@ class HardnessInstance:
     def from_json(cls, data: Mapping) -> "HardnessInstance":
         blocks = tuple(tuple(int(p) for p in b) for b in data["blocks"])
         codes = []
-        for block, entry in zip(blocks, data["codes"]):
+        for block, entry in zip(blocks, data["codes"], strict=True):
             cols = len(block)
             rows = tuple(hex_to_bits(h, cols) for h in entry["rows_hex"])
             matrix = BitMatrix(cols, rows)

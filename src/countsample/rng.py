@@ -94,12 +94,11 @@ def _fisher_yates(seed: int, stream: int, counter: int, n: int) -> list[int]:
 def mix64_np(z: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` over a uint64 array."""
     z = np.asarray(z).astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(33)
-        z *= np.uint64(0xFF51AFD7ED558CCD)
-        z ^= z >> np.uint64(33)
-        z *= np.uint64(0xC4CEB9FE1A85EC53)
-        z ^= z >> np.uint64(33)
+    z ^= z >> np.uint64(33)
+    z *= np.uint64(0xFF51AFD7ED558CCD)
+    z ^= z >> np.uint64(33)
+    z *= np.uint64(0xC4CEB9FE1A85EC53)
+    z ^= z >> np.uint64(33)
     return z
 
 
@@ -125,11 +124,16 @@ def unit_float_np(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
+def _words(seed: int, stream: int, count: int) -> np.ndarray:
+    """Words ``0..count-1`` of the (seed, stream) stream, its key taken once."""
+    return mix64_np(np.arange(count, dtype=np.uint64) ^ np.uint64(stream_key(int(seed), stream)))
+
+
 def derive_seeds(seed: int, count: int) -> np.ndarray:
     """``count`` independent 64-bit seeds derived from ``seed``."""
-    return word64_np(np.uint64(seed & _MASK), DERIVE_STREAM, np.arange(count))
+    return _words(seed, DERIVE_STREAM, count)
 
 
 def uniform_array(seed: int, stream: int, count: int) -> np.ndarray:
     """``count`` uniform [0, 1) floats from the (seed, stream) word stream."""
-    return unit_float_np(word64_np(np.uint64(seed & _MASK), stream, np.arange(count)))
+    return unit_float_np(_words(seed, stream, count))

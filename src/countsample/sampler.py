@@ -14,25 +14,21 @@ end when all guesses verify).  The modes are presets of ``theta``:
 sequential is 1, parallel is ``n``, and efficient (windowed) is
 ``config.theta`` or :func:`resolve_theta`.
 
-Accounting: the first window position's verify query has exactly the pins
-its guess had, so it is the same query and is neither issued nor counted.
-The trace counts the paper's fully parallel round: ``w`` guesses and
-``w - 1`` verifies over ``w`` positions (``batch_size == 2w - 1``), the
-modelled batch.  The engine stops a verify pass at its first mismatch,
-since the verifies after it cannot change the sample, so it issues fewer
-queries than the trace counts in any round that mismatches before its
-last position.  Sequential mode is ``n`` rounds of one query.
+The trace keeps one :class:`RoundRecord` per round, its window and its
+first mismatch; rounds, queries and ``a_history`` (the settled-prefix
+length after each round, strictly increasing and ending at ``n``) are
+read off them, and ``RoundRecord.batch_size`` is the one statement of the
+modelled query count.  Sequential mode is ``n`` rounds of one query.
 
 Every query goes through one conditioning session per sample
 (``oracle.session()``), which holds the settled pinning.  A verify pass
-stops at its first mismatch, so every symbol it reaches is final: it pins
-each one into the session as it goes, and each coordinate is pinned once.
-Every coupling draws from one ``coupler.Tape`` per sample, built for
-streams ``1..n`` so their first words come in one vectorized draw; a
-position coupled again (its verify, or its guess in a later round)
-rereads its tape instead of redrawing it.  ``a_history`` is the
-settled-prefix length after each round; it is strictly increasing and ends
-at ``n`` in every run.
+stops at its first mismatch, since the verifies after it cannot change
+the sample, so every symbol it reaches is final: it pins each one into
+the session as it goes, and each coordinate is pinned once.  Every
+coupling draws from one ``coupler.Tape`` per sample, built for streams
+``1..n`` so their first words come in one vectorized draw; a position
+coupled again (its verify, or its guess in a later round) rereads its
+tape instead of redrawing it.
 """
 
 from __future__ import annotations
@@ -121,21 +117,33 @@ class Sample:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One guess-and-verify round.
+    """One guess-and-verify round: it guessed the 1-based permutation
+    positions ``first..last`` and settled to ``first_mismatch``, the
+    earliest whose verify disagreed (None when every guess verified).
 
-    ``batch_size`` is the modelled batch, the queries of the paper's fully
-    parallel round: one guess per guessed position and one verify per
-    guessed position but the first, so ``2 * len(guessed) - 1``.  The
-    engine issues no verify past ``first_mismatch``, so it can issue
-    fewer.  ``guessed`` holds the 1-based permutation positions
-    speculatively resampled this round;
-    ``first_mismatch`` is the earliest guessed position whose verification
-    disagreed (None when the whole batch survived).
+    ``guessed`` is that window as a ``range``, and ``settled`` is the
+    settled-prefix length after the round.  ``batch_size`` is the modelled
+    batch, the paper's fully parallel round over ``w`` positions: ``w``
+    guesses and ``w - 1`` verifies, since the first position's verify is
+    its guess.  The engine issues no verify past ``first_mismatch``, so it
+    can issue fewer.
     """
 
-    batch_size: int
-    guessed: tuple[int, ...]
+    first: int
+    last: int
     first_mismatch: int | None
+
+    @property
+    def guessed(self) -> range:
+        return range(self.first, self.last + 1)
+
+    @property
+    def batch_size(self) -> int:
+        return 2 * (self.last - self.first) + 1
+
+    @property
+    def settled(self) -> int:
+        return self.last if self.first_mismatch is None else self.first_mismatch
 
     def to_json(self) -> dict:
         return {
@@ -147,17 +155,39 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class SamplerTrace:
-    rounds: int
-    total_queries: int
-    a_history: tuple[int, ...]
+    """A run's rounds, in order; every count is read off them.
+
+    Each window must start right after the previous round's settled
+    prefix (the first at position 1) and hold its ``first_mismatch``, if
+    any, in ``(first, last]``, or ``ValueError`` is raised; so
+    ``a_history`` is strictly increasing.
+    """
+
     per_round: tuple[RoundRecord, ...]
 
     def __post_init__(self) -> None:
-        if self.rounds != len(self.per_round):
-            raise ValueError("rounds must equal the number of per-round records")
-        for prev, cur in zip(self.a_history, self.a_history[1:]):
-            if cur <= prev:
-                raise ValueError(f"a_history not strictly increasing: {self.a_history}")
+        settled = 0
+        for index, record in enumerate(self.per_round, start=1):
+            mismatch = record.first_mismatch
+            if (
+                record.first != settled + 1
+                or record.last < record.first
+                or not (mismatch is None or record.first < mismatch <= record.last)
+            ):
+                raise ValueError(f"round {index} is no window after prefix {settled}: {record}")
+            settled = record.settled
+
+    @property
+    def rounds(self) -> int:
+        return len(self.per_round)
+
+    @property
+    def total_queries(self) -> int:
+        return sum(record.batch_size for record in self.per_round)
+
+    @property
+    def a_history(self) -> tuple[int, ...]:
+        return tuple(record.settled for record in self.per_round)
 
     def to_json(self) -> dict:
         return {
@@ -172,21 +202,26 @@ class SamplerTrace:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SamplerTrace":
-        return cls(
-            rounds=int(data["rounds"]),
-            total_queries=int(data["total_queries"]),
-            a_history=tuple(int(a) for a in data["a_history"]),
-            per_round=tuple(
-                RoundRecord(
-                    batch_size=int(r["batch_size"]),
-                    guessed=tuple(int(g) for g in r["guessed"]),
-                    first_mismatch=None
-                    if r["first_mismatch"] is None
-                    else int(r["first_mismatch"]),
-                )
-                for r in data["per_round"]
-            ),
-        )
+        """The trace whose ``to_json_str()`` is ``data``'s; ``ValueError``
+        when ``data`` is malformed or a count contradicts its rounds."""
+        try:
+            trace = cls(tuple(_record_from_json(r) for r in data["per_round"]))
+            same = trace.to_json_str() == json.dumps(data, sort_keys=True, separators=(",", ":"))
+        except (KeyError, IndexError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed trace: {exc!r}") from None
+        if not same:
+            raise ValueError("trace counts contradict its rounds")
+        return trace
+
+
+def _record_from_json(data: Mapping) -> RoundRecord:
+    """One round from its JSON.  Its ``guessed`` must list one window,
+    checked before ``to_json`` expands the window's ends into a list."""
+    guessed, mismatch = data["guessed"], data["first_mismatch"]
+    first, last = int(guessed[0]), int(guessed[-1])
+    if last - first + 1 != len(guessed):
+        raise ValueError(f"guessed positions {guessed} are not one window")
+    return RoundRecord(first, last, None if mismatch is None else int(mismatch))
 
 
 def resolve_theta(n: int, q: int) -> int:
@@ -225,14 +260,12 @@ def _window_sample(
     every guess verifies.
 
     The first window position's verify query would have exactly the pins
-    its guess had, so it is neither issued nor counted: its verified value
-    is its guess.  A window of ``w`` positions is therefore counted as
-    ``w`` guesses and ``w - 1`` verifies.  The verify pass stops at the
-    first mismatch: later verifies cannot change the sample, so they are
-    counted but not issued.  Every symbol the pass reaches is therefore
-    final and is pinned straight into the settled session, so a verify
-    query sees the settled prefix and the verified guesses before it, and
-    one session holds the whole sample, each coordinate pinned once.
+    its guess had, so it is not issued: its verified value is its guess.
+    The verify pass stops at the first mismatch, so every symbol it
+    reaches is final and is pinned straight into the settled session: a
+    verify query sees the settled prefix and the verified guesses before
+    it, and one session holds the whole sample, each coordinate pinned
+    once.
 
     A guessed prefix can be jointly inconsistent (the guesses are drawn
     independently), but a verify query conditions only on guesses that
@@ -246,22 +279,16 @@ def _window_sample(
     values = [0] * n
     settled = oracle.session()
     records: list[RoundRecord] = []
-    a_history: list[int] = []
-    total_queries = 0
     a = 0
     while a < n:
         end = a + theta
         if end > n:
             end = n
-        guessed = tuple(range(a + 1, end + 1))
-        guesses = []
-        for i in guessed:
-            guesses.append(couple(settled.marginal(perm[i - 1]), i))
+        guesses = [couple(settled.marginal(perm[i - 1]), i) for i in range(a + 1, end + 1)]
         coord = perm[a]
         values[coord] = guesses[0]
         settled.pin(coord, guesses[0])
         mismatch = None
-        a_new = end
         for i in range(a + 2, end + 1):
             coord = perm[i - 1]
             try:
@@ -272,21 +299,13 @@ def _window_sample(
             values[coord] = symbol
             settled.pin(coord, symbol)
             if symbol != guesses[i - a - 1]:
-                mismatch = a_new = i
+                mismatch = i
                 break
-        batch = 2 * len(guessed) - 1
-        total_queries += batch
-        records.append(RoundRecord(batch, guessed, mismatch))
-        a_history.append(a_new)
-        a = a_new
+        record = RoundRecord(a + 1, end, mismatch)
+        records.append(record)
+        a = record.settled
 
-    trace = SamplerTrace(
-        rounds=len(records),
-        total_queries=total_queries,
-        a_history=tuple(a_history),
-        per_round=tuple(records),
-    )
-    return Sample(tuple(values)), trace
+    return Sample(tuple(values)), SamplerTrace(tuple(records))
 
 
 def sequential_sample(

@@ -234,6 +234,16 @@ class TestHardnessCommand:
         assert rc == EXIT_USAGE
         assert "override" in capsys.readouterr().err
 
+    def test_an_instance_missing_a_code_exits_two(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        main(["hardness", "gen", "--n", "16", "--seed", "5", "--override", "2,8,2,4", "--out", str(inst)])
+        data = read_json(inst)
+        data["codes"] = data["codes"][:1]
+        inst.write_text(json.dumps(data))
+        assert main(["sample", "--oracle", str(inst), "--seed", "4", "--out", str(tmp_path / "s.json")]) == EXIT_ORACLE
+        assert main(["hardness", "query", "--instance", str(inst), "--pin", "0=1"]) == EXIT_ORACLE
+        assert capsys.readouterr().out == ""
+
     def test_bad_pin_syntax(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         main(["hardness", "gen", "--n", "16", "--seed", "5", "--override", "2,8,2,4", "--out", str(inst)])

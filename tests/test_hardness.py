@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -126,6 +127,15 @@ class TestGenerate:
                 overridden=good.overridden,
                 rejections=good.rejections,
             )
+
+    def test_a_code_count_other_than_r_is_refused(self, toy):
+        instance, _ = toy
+        data = instance.to_json()
+        for codes in (data["codes"][:1], data["codes"] + data["codes"][:1]):
+            with pytest.raises(ValueError):
+                HardnessInstance.from_json({**data, "codes": codes})
+        with pytest.raises(ValueError, match="r codes"):
+            dataclasses.replace(instance, codes=instance.codes[:1])
 
     def test_serialization_roundtrip(self, toy, tmp_path):
         instance, _ = toy

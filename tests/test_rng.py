@@ -1,4 +1,7 @@
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,3 +121,33 @@ def test_permutation_matches_bounded_word_reference():
         for n in (0, 1, 2, 3, 8, 33):
             expected = _bounded_word_shuffle(seed, rng.PERMUTATION_STREAM, 0, n)
             assert rng.permutation(seed, n) == expected, (seed, n)
+
+
+def test_mix64_np_raises_no_overflow_warning():
+    # uint64 array arithmetic wraps silently; run with warnings as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (np.uint64(2**64 - 1), np.array(2**64 - 1, dtype=np.uint64), 2**63 + 5):
+            assert int(rng.mix64_np(z)) == rng.mix64(int(z))
+        grid = np.arange(24, dtype=np.uint64).reshape(2, 3, 4) * np.uint64(2**59 + 3)
+        mixed = rng.mix64_np(grid)
+        assert mixed.shape == grid.shape
+        assert [int(w) for w in mixed.ravel()] == [rng.mix64(int(z)) for z in grid.ravel()]
+
+
+_EDGE_SEEDS = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, np.uint64(2**64 - 1), -1, -(2**63)]
+_EDGE_STREAMS = [0, 1, 50, rng.PERMUTATION_STREAM, rng.DERIVE_STREAM, 2**63, 2**64 - 1, -(2**63)]
+
+
+@pytest.mark.parametrize("seed", _EDGE_SEEDS, ids=repr)
+def test_drawn_arrays_equal_the_word64_np_formula(seed):
+    # ``uniform_array`` and ``derive_seeds`` take the stream key once; the
+    # words are those ``word64_np`` draws from the seed masked to 64 bits.
+    masked = np.uint64(int(seed) & (2**64 - 1))
+    for count in (0, 1, 7):
+        counters = np.arange(count)
+        expected = rng.word64_np(masked, rng.DERIVE_STREAM, counters)
+        assert rng.derive_seeds(seed, count).tobytes() == expected.tobytes()
+        for stream in _EDGE_STREAMS:
+            expected = rng.unit_float_np(rng.word64_np(masked, stream, counters))
+            assert rng.uniform_array(seed, stream, count).tobytes() == expected.tobytes()

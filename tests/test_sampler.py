@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import json
 import math
 
 import numpy as np
@@ -48,6 +50,7 @@ from countsample.sampler import (
 COUPLERS = (CouplerKind.MIN_COUPLER, CouplerKind.GUMBEL_TRICK)
 PERMS = (PermutationMode.RANDOM, PermutationMode.IDENTITY)
 GOLDEN_DIGEST = "ad9b1bca7948258a561f01cd4c35e561ec5c8d32cbbee9f13916bcf3a9bbd2f8"
+TRACE_DIGEST = "f717c2974257cbecb4aeedeba6fa19010b72ca34c28c916a5f22c4d0ea0bc526"
 
 
 def family_instances():
@@ -111,18 +114,12 @@ def test_exact_agreement_explicit_thetas(label, oracle):
 
 
 def _assert_accounting(trace, n):
-    """The engine's accounting rule: a round over w positions issues w
-    guesses and w - 1 verifies, and settles up to its first mismatch (or
-    its whole window)."""
-    assert trace.total_queries == sum(r.batch_size for r in trace.per_round)
-    previous = 0
-    for record, settled in zip(trace.per_round, trace.a_history, strict=True):
-        assert record.batch_size == 2 * len(record.guessed) - 1
-        assert record.guessed == tuple(range(previous + 1, previous + 1 + len(record.guessed)))
-        expected = record.guessed[-1] if record.first_mismatch is None else record.first_mismatch
-        assert settled == expected
-        previous = settled
+    """The rest of the accounting rule is structural: ``SamplerTrace``
+    refuses a round that does not follow the previous one, and reads its
+    counts off the rounds.  So the last round settles ``n``, and the trace
+    rebuilds from its own JSON."""
     assert trace.a_history[-1] == n
+    assert SamplerTrace.from_json(trace.to_json()) == trace
 
 
 @pytest.mark.parametrize("label,oracle", family_instances())
@@ -161,6 +158,26 @@ def _golden_digest():
 def test_golden_digest():
     # frozen from the three separate sampler loops the engine replaced
     assert _golden_digest() == GOLDEN_DIGEST
+
+
+def _trace_digest():
+    """sha256 over the parallel and efficient trace JSON on a fixed grid of
+    (family, seed, coupler, permutation)."""
+    h = hashlib.sha256()
+    for label, oracle in family_instances():
+        for seed in range(5):
+            for kind in COUPLERS:
+                for perm in PERMS:
+                    config = SamplerConfig(seed=seed, coupler=kind, permutation=perm)
+                    for mode_fn in (parallel_sample, efficient_sample):
+                        h.update(mode_fn(oracle, config)[1].to_json_str().encode())
+    return h.hexdigest()
+
+
+def test_trace_json_digest():
+    # frozen while each round still stored its guessed tuple, batch size
+    # and the trace its counts: the JSON is read off the windows unchanged
+    assert _trace_digest() == TRACE_DIGEST
 
 
 def _state(value):
@@ -318,6 +335,45 @@ def test_every_mode_equals_a_from_scratch_reference(data):
         _assert_accounting(trace, oracle.n)
 
 
+def _two_state_chain(switch):
+    stay = 1.0 - switch
+    return MarkovChainOracle([0.5, 0.5], [[[stay, switch], [switch, stay]]] * 5)
+
+
+# Weight totals that go subnormal, and epsilon at the top of [0, 1).
+_FLOAT_EDGE_ORACLES = [
+    ("markov-1e-200", _two_state_chain(1e-200)),
+    ("markov-1e-310", _two_state_chain(1e-310)),
+    ("markov-5e-324", _two_state_chain(5e-324)),
+    ("approximate-5e-324", approximate_wrap(_two_state_chain(5e-324), 1 - 1e-16, 0.3, seed=11)),
+]
+
+
+@pytest.mark.parametrize("label,oracle", _FLOAT_EDGE_ORACLES)
+def test_float_edge_answers_are_exact_or_refused(label, oracle):
+    # Every pinning of every free target: a finite answer summing to 1 (the
+    # reference's bytes), or ZeroMeasurePinning exactly when it has measure 0.
+    n = oracle.n
+    for assignment in itertools.product((None, 0, 1), repeat=n):
+        pins = {c: s for c, s in enumerate(assignment) if s is not None}
+        zero = oracle._log_probability(pins) == -math.inf
+        for target in sorted(set(range(n)) - set(pins)):
+            if zero:
+                with pytest.raises(ZeroMeasurePinning):
+                    oracle.session(pins).marginal(target)
+                continue
+            probs = oracle.session(pins).marginal(target)
+            assert np.isfinite(probs).all() and (probs >= 0.0).all(), (label, pins, target)
+            assert abs(probs.sum() - 1.0) <= 1e-12, (label, pins, target)
+            assert probs.tobytes() == oracle._marginal_probs(target, pins).tobytes()
+    for seed in range(50):
+        for kind in COUPLERS:
+            expected = sequential_sample(oracle, SamplerConfig(seed=seed, coupler=kind))[0]
+            for mode, theta in ((Mode.PARALLEL, None), (Mode.EFFICIENT, None), (Mode.EFFICIENT, 3)):
+                config = SamplerConfig(seed=seed, coupler=kind, mode=mode, theta=theta)
+                assert run_sampler(oracle, config)[0] == expected, (label, seed, kind, mode, theta)
+
+
 class _RecordedSession:
     """Another session's pins and marginals; ``pinned`` lists the
     coordinates of its base and of every ``pin``."""
@@ -396,11 +452,32 @@ class TestConfigTypes:
             SamplerConfig(seed=3, theta=0)
 
 
+def test_round_record_reads_off_its_window():
+    record = RoundRecord(3, 6, 5)
+    assert record.guessed == range(3, 7)
+    assert record.batch_size == 7
+    assert record.settled == 5
+    assert RoundRecord(3, 6, None).settled == 6
+    assert RoundRecord(4, 4, None).batch_size == 1
+    assert record.to_json() == {"batch_size": 7, "guessed": [3, 4, 5, 6], "first_mismatch": 5}
+    trace = SamplerTrace((RoundRecord(1, 3, 2), RoundRecord(3, 6, 5), RoundRecord(6, 6, None)))
+    assert (trace.rounds, trace.total_queries, trace.a_history) == (3, 13, (2, 5, 6))
+
+
 def test_trace_invariants_enforced():
+    # the first position's verify is its guess, so a mismatch lies in (first, last]
+    for mismatch in (0, 1, 4):
+        with pytest.raises(ValueError):
+            SamplerTrace((RoundRecord(1, 3, mismatch),))
+    # each window starts right after the previous round's settled prefix
+    for first in (1, 2, 4):
+        with pytest.raises(ValueError):
+            SamplerTrace((RoundRecord(1, 3, 2), RoundRecord(first, 5, None)))
     with pytest.raises(ValueError):
-        SamplerTrace(rounds=1, total_queries=1, a_history=(2, 2), per_round=(RoundRecord(1, (1,), None),))
+        SamplerTrace((RoundRecord(2, 3, None),))
     with pytest.raises(ValueError):
-        SamplerTrace(rounds=2, total_queries=1, a_history=(1,), per_round=(RoundRecord(1, (1,), None),))
+        SamplerTrace((RoundRecord(1, 0, None),))
+    SamplerTrace((RoundRecord(1, 3, 2), RoundRecord(3, 5, None)))
 
 
 def test_trace_json_roundtrip():
@@ -408,6 +485,84 @@ def test_trace_json_roundtrip():
     _, trace = efficient_sample(oracle, SamplerConfig(seed=5))
     again = SamplerTrace.from_json(trace.to_json())
     assert again == trace
+
+
+def _edited(data, change):
+    copy = json.loads(json.dumps(data))
+    change(copy)
+    return copy
+
+
+def _tampered_traces(data):
+    """Copies of an engine trace's JSON, each with one count or one round
+    changed so that it contradicts the rest."""
+    rounds = data["per_round"]
+    wide = next(k for k, r in enumerate(rounds) if len(r["guessed"]) >= 3)
+    # settled before its window's end, so dropping its mismatch moves a_history
+    k = next(k for k, r in enumerate(rounds) if r["first_mismatch"] not in (None, r["guessed"][-1]))
+    window = rounds[k]["guessed"]
+    edits = {
+        "rounds": lambda d: d.update(rounds=d["rounds"] + 1),
+        "total_queries": lambda d: d.update(total_queries=d["total_queries"] - 1),
+        "a_history": lambda d: d["a_history"].__setitem__(k, d["a_history"][k] + 1),
+        "batch_size": lambda d: d["per_round"][0].update(batch_size=rounds[0]["batch_size"] + 2),
+        "guessed gap": lambda d: d["per_round"][wide]["guessed"].pop(1),
+        "mismatch past the window": lambda d: d["per_round"][k].update(first_mismatch=window[-1] + 1),
+        "mismatch at the first position": lambda d: d["per_round"][k].update(first_mismatch=window[0]),
+        "mismatch dropped": lambda d: d["per_round"][k].update(first_mismatch=None),
+        "bool mismatch": lambda d: d["per_round"][k].update(first_mismatch=True),
+        "float count": lambda d: d.update(rounds=float(d["rounds"])),
+        "extra key": lambda d: d.update(mode="parallel"),
+    }
+    for label, change in edits.items():
+        yield label, _edited(data, change)
+
+
+# One round over positions 1..2 that mismatches at 2, and that shape with
+# one part malformed.
+_ONE_ROUND = {
+    "rounds": 1,
+    "total_queries": 3,
+    "a_history": [2],
+    "per_round": [{"batch_size": 3, "guessed": [1, 2], "first_mismatch": 2}],
+}
+_MALFORMED_TRACES = [None, [], {}, "trace", {"per_round": None}, {**_ONE_ROUND, "per_round": "1"}]
+_MALFORMED_TRACES += [
+    _edited(_ONE_ROUND, lambda d: d.pop(key)) for key in ("rounds", "a_history", "per_round")
+]
+_MALFORMED_TRACES += [
+    _edited(_ONE_ROUND, lambda d, field=field, value=value: d["per_round"][0].update({field: value}))
+    for field, values in (
+        ("guessed", ([], 1, [1.0, 2.0], ["1", "2"], [None, 2], [1, float("inf")], [1, 2**62])),
+        ("first_mismatch", (2.0, "2", [2], {})),
+    )
+    for value in values
+]
+_MALFORMED_TRACES += [
+    _edited(_ONE_ROUND, lambda d, key=key: d["per_round"][0].pop(key))
+    for key in ("guessed", "first_mismatch")
+]
+
+
+def _refused(data) -> bool:
+    """Whether ``from_json`` refuses ``data`` with ``ValueError``; any other
+    exception propagates and fails the test."""
+    try:
+        SamplerTrace.from_json(data)
+    except ValueError:
+        return True
+    return False
+
+
+def test_trace_from_json_refuses_contradictions():
+    # rounds over positions 1..6 (settled at 4), 5..10, 11..16 (settled at 12), ...
+    oracle = sticky_markov(24, 2, seed=3)
+    _, trace = efficient_sample(oracle, SamplerConfig(seed=2, theta=6))
+    data = trace.to_json()
+    assert SamplerTrace.from_json(data) == trace
+    assert [label for label, tampered in _tampered_traces(data) if not _refused(tampered)] == []
+    assert SamplerTrace.from_json(_ONE_ROUND) == SamplerTrace((RoundRecord(1, 2, 2),))
+    assert [shape for shape in _MALFORMED_TRACES if not _refused(shape)] == []
 
 
 class TestAHistory:
