@@ -7,6 +7,13 @@ are returned as integer log2 values: the affine-code instances have counts
 up to 2**n for n in the thousands, and log form keeps every consumer out
 of bignum arithmetic.  A count takes one elimination of the augmented
 system ``[A | b]``, which decides consistency and the rank together.
+
+The augmented rows put ``b`` in bit 0 and column ``j`` in bit ``j + 1``,
+and an elimination keeps its pivots as ``{lead bit: row}``.  One reduce
+loop, :func:`reduce_row`, serves both the elimination and the oracle
+sessions that keep a pinned system in this echelon form: a pin
+``x[j] = s`` is the row ``(1 << (j + 1)) | s`` reduced against the pivots,
+and a pivot at bit 0 is the equation ``0 = 1``.
 """
 
 from __future__ import annotations
@@ -60,19 +67,42 @@ def rank(matrix: BitMatrix) -> int:
     return len(_echelon(matrix.rows))
 
 
+def reduce_row(pivots: dict[int, int], row: int) -> int:
+    """``row`` minus pivot rows until its lead bit has no pivot; 0 when it
+    lies in the pivots' span."""
+    while row:
+        piv = pivots.get(row.bit_length() - 1)
+        if piv is None:
+            return row
+        row ^= piv
+    return 0
+
+
 def _echelon(rows) -> dict[int, int]:
     """Row-reduce by leading (highest) bit: ``{lead bit: pivot row}``."""
     pivots: dict[int, int] = {}
     for row in rows:
-        cur = row
-        while cur:
-            lead = cur.bit_length() - 1
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = cur
-                break
-            cur ^= piv
+        row = reduce_row(pivots, row)
+        if row:
+            pivots[row.bit_length() - 1] = row
     return pivots
+
+
+def affine_pivots(matrix: BitMatrix, rhs: BitVector) -> dict[int, int]:
+    """Echelon pivots of the augmented rows ``[A | b]`` (``b`` in bit 0).
+
+    The system is inconsistent exactly when bit 0 is a lead; otherwise its
+    solution count is ``2 ** (cols - len(pivots))``.
+    """
+    if matrix.nrows != rhs.length:
+        raise ValueError(
+            f"dimension mismatch: {matrix.nrows} rows vs rhs length {rhs.length}"
+        )
+    return _echelon(_augmented(matrix.rows, rhs.bits))
+
+
+def _augmented(rows, rhs_bits: int):
+    return ((row << 1) | ((rhs_bits >> i) & 1) for i, row in enumerate(rows))
 
 
 def solution_count_log2(matrix: BitMatrix, rhs: BitVector) -> int | None:
@@ -81,18 +111,13 @@ def solution_count_log2(matrix: BitMatrix, rhs: BitVector) -> int | None:
     Returns ``None`` when the system is inconsistent.  One elimination of
     the augmented rows ``[A | b]`` gives the verdict and the count.
     """
-    if matrix.nrows != rhs.length:
-        raise ValueError(
-            f"dimension mismatch: {matrix.nrows} rows vs rhs length {rhs.length}"
-        )
-    return _count_log2(matrix.cols, matrix.rows, rhs.bits)
+    return _count_log2(matrix.cols, affine_pivots(matrix, rhs))
 
 
-def _count_log2(cols: int, rows, rhs_bits: int) -> int | None:
-    """One elimination of ``[A | b]`` with ``b`` in bit 0, below the columns.
-    A pivot at bit 0 is the equation ``0 = 1`` (inconsistent); otherwise
-    every pivot is a column pivot and the count is ``cols - rank``."""
-    pivots = _echelon((row << 1) | ((rhs_bits >> i) & 1) for i, row in enumerate(rows))
+def _count_log2(cols: int, pivots: dict[int, int]) -> int | None:
+    """The count read off the pivots of ``[A | b]``.  A pivot at bit 0 is the
+    equation ``0 = 1`` (inconsistent); otherwise every pivot is a column
+    pivot and the count is ``cols - rank``."""
     if 0 in pivots:
         return None
     return cols - len(pivots)
@@ -130,7 +155,7 @@ def solve_affine_with_pinning(
         rows.append(1 << index)
         rhs_bits |= bit << pos
         pos += 1
-    return _count_log2(matrix.cols, rows, rhs_bits)
+    return _count_log2(matrix.cols, _echelon(_augmented(rows, rhs_bits)))
 
 
 def bits_to_hex(value: int, nbits: int) -> str:

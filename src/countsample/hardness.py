@@ -12,7 +12,9 @@ randomness per trial, which is the randomness the statements quantify
 over).
 
 Counting is exact: a hypercube restricted to a block is a pinned affine
-solve, and the full count is the sum of per-block log2 counts.
+solve, and the full count is the sum of per-block log2 counts.  The
+sampler-facing ``HardnessOracle`` answers through a product of per-block
+affine sessions, each keeping its pinned block system in echelon form.
 """
 
 from __future__ import annotations
@@ -20,13 +22,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import rng
 from .gf2 import BitMatrix, BitVector, bits_to_hex, hex_to_bits, solve_affine_with_pinning
-from .oracle import AffineCodeOracle, ConditionalOracle, ZeroMeasurePinning
+from .oracle import (
+    AffineCodeOracle,
+    ConditionalOracle,
+    MalformedQuery,
+    PinningSession,
+    ZeroMeasurePinning,
+)
 
 _LN2 = math.log(2.0)
 
@@ -298,9 +306,12 @@ class HardnessOracle(ConditionalOracle):
     held as one :class:`AffineCodeOracle` per block.  A coordinate's
     marginal depends only on its own block (the other blocks' counts cancel
     in the ratio), so it is that block oracle's marginal at the target's
-    local column under the pins that fall in the block.  As for every
-    family, the public ``conditional_marginal`` also checks that the whole
-    pinning has positive measure.
+    local column under the pins that fall in the block.  A session is the
+    product of one affine session per block: each pin and each target is
+    routed to its block's session by ``position_index``, so a query is one
+    row reduction in one block.  As for every family, the public
+    ``conditional_marginal`` also checks that the whole pinning has
+    positive measure.
     """
 
     variant = "hardness"
@@ -312,6 +323,11 @@ class HardnessOracle(ConditionalOracle):
         self._index = instance.position_index()
         self._blocks = tuple(AffineCodeOracle(matrix, rhs) for matrix, rhs in instance.codes)
         self._support_log2 = sum(block._log2_total for block in self._blocks)
+
+    def session(
+        self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
+    ) -> "_HardnessSession":
+        return _HardnessSession(self, dict(base))
 
     def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
         bi, col = self._index[target]
@@ -334,6 +350,37 @@ class HardnessOracle(ConditionalOracle):
 
     def to_json(self) -> dict:
         return {"variant": self.variant, "instance": self.instance.to_json()}
+
+
+class _HardnessSession(PinningSession):
+    """One affine session per block; a pin or a target goes to its block.
+
+    A block session raises ``ZeroMeasurePinning`` exactly when the pins in
+    its own block contradict its code, as the reference does; the error is
+    raised again naming the caller's pins instead of local columns.
+    """
+
+    __slots__ = ("_blocks",)
+
+    def __init__(self, oracle: HardnessOracle, pins: dict[int, int]) -> None:
+        super().__init__(oracle, {})
+        self._blocks = tuple(block.session() for block in oracle._blocks)
+        for coord, sym in pins.items():
+            self.pin(coord, sym)
+
+    def pin(self, coord: int, sym: int) -> None:
+        if coord in self._pins:
+            raise MalformedQuery(f"coordinate {coord} is already pinned")
+        self._pins[coord] = sym
+        bi, col = self._oracle._index[coord]
+        self._blocks[bi].pin(col, sym)
+
+    def marginal(self, target: int) -> np.ndarray:
+        bi, col = self._oracle._index[target]
+        try:
+            return self._blocks[bi].marginal(col)
+        except ZeroMeasurePinning:
+            raise ZeroMeasurePinning(f"pinning {self._pins!r} has probability 0") from None
 
 
 def marginal_oracle_view(instance: HardnessInstance) -> HardnessOracle:

@@ -21,7 +21,10 @@ Concrete families:
                            worst case for prefix-window samplers under the
                            identity permutation.
 * ``AffineCodeOracle``  -- uniform over the solutions of a GF(2) affine
-                           system; marginals via two pinned solve counts.
+                           system; a session keeps the pinned system in
+                           echelon form, so a pin or a marginal is one row
+                           reduction (the reference ``_marginal_probs``
+                           takes two pinned solve counts).
 * ``ApproximateOracle`` -- deterministic multiplicative-noise wrapper
                            around any inner oracle.
 
@@ -35,7 +38,10 @@ pin order.  Families whose answer can reuse the previous pinning override
 ``session``.  The Markov session memoizes the last answer per target,
 keyed by the target's nearest pinned neighbors and their symbols, so a
 question asked again under them is answered once; the memo lives and dies
-with one session, never on the oracle.
+with one session, never on the oracle.  The affine session (and the
+hardness session, one affine session per block) copies the pivots of the
+base system, eliminated once at construction, and reduces each pin into
+them.
 
 The public query ``conditional_marginal(target, pins)`` is a validating
 wrapper over the same session: it rejects malformed input, raises
@@ -58,7 +64,15 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import rng
-from .gf2 import BitMatrix, BitVector, bits_to_hex, hex_to_bits, solve_affine_with_pinning
+from .gf2 import (
+    BitMatrix,
+    BitVector,
+    affine_pivots,
+    bits_to_hex,
+    hex_to_bits,
+    reduce_row,
+    solve_affine_with_pinning,
+)
 
 _LN2 = math.log(2.0)
 _SUM_TOL = 1e-9
@@ -496,9 +510,14 @@ class PairCopyOracle(ConditionalOracle):
 class AffineCodeOracle(ConditionalOracle):
     """Uniform distribution over the GF(2) solutions of ``Bx = v``.
 
-    Marginals come from two pinned solution counts (target forced to 0 and
-    to 1); because the support is an affine subspace, every marginal is
-    componentwise in {0, 1/2, 1}.
+    The support is an affine subspace, so every marginal is componentwise
+    in {0, 1/2, 1}: the target is forced exactly when its unit row lies in
+    the span of the pinned system.  The constructor eliminates ``[B | v]``
+    once and keeps its pivots (``gf2.affine_pivots``).  A session copies
+    them and reduces each pin and each target's unit row against them, one
+    O(rank) reduction per call.  The reference ``_marginal_probs`` takes two
+    pinned solution counts (target forced to 0 and to 1) instead; the two
+    agree byte for byte.
     """
 
     variant = "affine"
@@ -506,14 +525,20 @@ class AffineCodeOracle(ConditionalOracle):
     def __init__(self, matrix: BitMatrix, rhs: BitVector) -> None:
         if matrix.cols < 1:
             raise ValueError("code must have at least one column")
-        base = solve_affine_with_pinning(matrix, rhs, ())
-        if base is None:
+        pivots = affine_pivots(matrix, rhs)
+        if 0 in pivots:
             raise ValueError("affine system is inconsistent (empty support)")
         self.n = matrix.cols
         self.q = 2
         self.matrix = matrix
         self.rhs = rhs
-        self._log2_total = base
+        self._pivots = pivots
+        self._log2_total = matrix.cols - len(pivots)
+
+    def session(
+        self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
+    ) -> "_AffineSession":
+        return _AffineSession(self, dict(base))
 
     def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
         items = list(pins.items())
@@ -543,6 +568,56 @@ class AffineCodeOracle(ConditionalOracle):
         }
 
 
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+# The affine session's answers, shared by every caller.
+_FREE = _read_only([0.5, 0.5])
+_FORCED = (_read_only([1.0, 0.0]), _read_only([0.0, 1.0]))
+
+
+class _AffineSession(PinningSession):
+    """Affine session: the pinned system ``[B | v]`` plus one unit row per
+    pin, kept in echelon form as ``{lead bit: row}`` (column ``j`` in bit
+    ``j + 1``, the rhs in bit 0).
+
+    ``pin(c, s)`` reduces the row ``x[c] = s`` into the pivots.  A pivot at
+    bit 0 is the equation ``0 = 1``: the pinning has measure zero, and
+    every later ``marginal`` raises ``ZeroMeasurePinning``, as the
+    reference does.  ``marginal(t)`` reduces the unit row of ``t``: a free
+    lead bit left means ``t`` is uniform, and a row reduced to 0 or 1 is
+    ``t``'s forced value.
+    """
+
+    __slots__ = ("_pivots",)
+
+    def __init__(self, oracle: AffineCodeOracle, pins: dict[int, int]) -> None:
+        super().__init__(oracle, {})
+        self._pivots = dict(oracle._pivots)
+        for coord, sym in pins.items():
+            self.pin(coord, sym)
+
+    def pin(self, coord: int, sym: int) -> None:
+        if coord in self._pins:
+            raise MalformedQuery(f"coordinate {coord} is already pinned")
+        self._pins[coord] = sym
+        row = reduce_row(self._pivots, (1 << (coord + 1)) | sym)
+        if row:
+            self._pivots[row.bit_length() - 1] = row
+
+    def marginal(self, target: int) -> np.ndarray:
+        pivots = self._pivots
+        if 0 in pivots:
+            raise ZeroMeasurePinning(f"pinning {self._pins!r} has probability 0")
+        row = reduce_row(pivots, 1 << (target + 1))
+        if row > 1:
+            return _FREE
+        return _FORCED[row]
+
+
 class ApproximateOracle(ConditionalOracle):
     """Deterministic noisy wrapper: joint counts are multiplied by
     ``1 + epsilon * U`` with ``U`` uniform in [-1, 1], and with probability
@@ -550,7 +625,9 @@ class ApproximateOracle(ConditionalOracle):
 
     Both the noise value and the failure event are derived from a hash of
     (seed, pinning), so repeated identical queries agree.  Marginals are
-    rebuilt from the perturbed counts of the q extended pinnings.
+    rebuilt from the perturbed counts of the q extended pinnings; a query
+    folds the pins below its target once and shares that prefix of the
+    hash among them.
     """
 
     variant = "approximate"
@@ -567,31 +644,39 @@ class ApproximateOracle(ConditionalOracle):
         self.n = inner.n
         self.q = inner.q
 
-    def _fold(self, pins: Mapping[int, int]) -> int:
-        acc = 0x5B5AD4DD4EE5DD1B
-        for pos, val in sorted(pins.items()):
-            acc = rng.mix64(acc ^ pos)
-            acc = rng.mix64(acc ^ val)
-        return acc
-
     def _perturbed_log_count(self, pins: Mapping[int, int]) -> float:
         base = self.inner._log_probability(pins)
         if base == -math.inf:
             return base
-        key = self._fold(pins)
-        if self.delta > 0.0 and rng.unit_float(rng.word64(self.seed, key, 1)) < self.delta:
+        return self._perturbed(base, _fold(sorted(pins.items())))
+
+    def _perturbed(self, base: float, key: int) -> float:
+        """Finite ``base`` under the noise of the pinning hashed to ``key``:
+        words 1 (the failure event) and 0 (the noise value) of the stream
+        keyed by (seed, key)."""
+        stream = rng.stream_key(self.seed, key)
+        if self.delta > 0.0 and rng.unit_float(rng.mix64(stream ^ 1)) < self.delta:
             return base + _LN2
         if self.epsilon == 0.0:
             return base
-        u = 2.0 * rng.unit_float(rng.word64(self.seed, key, 0)) - 1.0
+        u = 2.0 * rng.unit_float(rng.mix64(stream)) - 1.0
         return base + math.log1p(self.epsilon * u)
 
     def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
+        # The extended pinning sorts as (pins below target, (target, x),
+        # pins above target), so the fold of the first part is shared.
+        items = sorted(pins.items())
+        cut = bisect_left(items, (target,))
+        below = _fold(items[:cut])
+        above = items[cut:]
         ext = dict(pins)
         logs = np.empty(self.q)
         for x in range(self.q):
             ext[target] = x
-            logs[x] = self._perturbed_log_count(ext)
+            base = self.inner._log_probability(ext)
+            if base != -math.inf:
+                base = self._perturbed(base, _fold(above, _fold(((target, x),), below)))
+            logs[x] = base
         top = logs.max()
         if top == -math.inf:
             raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
@@ -609,6 +694,13 @@ class ApproximateOracle(ConditionalOracle):
             "delta": self.delta,
             "seed": self.seed,
         }
+
+
+def _fold(items, acc: int = 0x5B5AD4DD4EE5DD1B) -> int:
+    """Hash sorted ``(coordinate, symbol)`` pairs onto ``acc``."""
+    for pos, val in items:
+        acc = rng.mix64(rng.mix64(acc ^ pos) ^ val)
+    return acc
 
 
 def approximate_wrap(

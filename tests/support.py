@@ -5,14 +5,18 @@ These deliberately avoid the package's own algorithms: matchings are
 enumerated by backtracking, joint distributions by exhaustive products,
 GF(2) solution sets by trying every vector.  ``session_families`` is the
 shared set of oracles whose raw marginals the session and coupler
-properties draw from.
+properties draw from, and ``dependent_affines`` draws affine systems with
+linearly dependent rows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 import numpy as np
+from hypothesis import strategies as st
 
 from countsample.families import (
     grid,
@@ -22,8 +26,15 @@ from countsample.families import (
     random_table,
     sticky_markov,
 )
+from countsample.gf2 import BitMatrix, BitVector
 from countsample.hardness import generate, marginal_oracle_view
-from countsample.oracle import MarkovChainOracle, ProductOracle, TableOracle, approximate_wrap
+from countsample.oracle import (
+    AffineCodeOracle,
+    MarkovChainOracle,
+    ProductOracle,
+    TableOracle,
+    approximate_wrap,
+)
 
 # Acceptance tests register one status line per criterion here; the
 # terminal-summary hook in conftest.py prints them after capture ends so
@@ -107,6 +118,25 @@ def all_configs(n: int, q: int):
     return itertools.product(range(q), repeat=n)
 
 
+def affine_through(cols: int, rows, solution: int) -> AffineCodeOracle:
+    """The affine oracle ``rows . x = rows . solution``: consistent whatever
+    the rows, dependent ones included."""
+    rhs = sum((bin(row & solution).count("1") & 1) << i for i, row in enumerate(rows))
+    return AffineCodeOracle(BitMatrix(cols, tuple(rows)), BitVector(len(rows), rhs))
+
+
+@st.composite
+def dependent_affines(draw, max_n: int):
+    """Affine oracles on n <= ``max_n`` columns whose rows include sums of
+    subsets of the rows before them (repeats and zero rows among them)."""
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=n))
+    for _ in range(draw(st.integers(1, n))):
+        subset = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+        rows.append(functools.reduce(operator.xor, subset))
+    return affine_through(n, draw(st.permutations(rows)), draw(st.integers(0, (1 << n) - 1)))
+
+
 def session_families():
     # Sparse members put zero-measure pinnings within reach of random pins.
     cyclic = np.array([[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]] * 11)
@@ -124,4 +154,8 @@ def session_families():
         ("grid-3x4", grid(3, 4)),
         ("hardness", marginal_oracle_view(generate(16, 1.0, 6, override=(2, 8, [2, 4])))),
         ("approximate", approximate_wrap(random_table(4, 2, seed=9), 0.3, 0.05, seed=2)),
+        # Rows 2 and 4 repeat rows 0 + 1 and row 1.
+        ("affine-dependent", affine_through(
+            8, [0b10110011, 0b01101010, 0b11011001, 0b00011110, 0b01101010], 0b10100101
+        )),
     ]

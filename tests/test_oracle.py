@@ -1,12 +1,14 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from support import all_configs, session_families
+from support import all_configs, dependent_affines, session_families
+from countsample import rng
 from countsample.diagnostics import joint_table
 from countsample.families import (
     pair_copy,
@@ -16,6 +18,7 @@ from countsample.families import (
     sticky_markov,
 )
 from countsample.gf2 import BitMatrix, BitVector, solve_affine_with_pinning
+from countsample.hardness import HardnessOracle, generate, marginal_oracle_view
 from countsample.oracle import (
     AffineCodeOracle,
     ApproximateOracle,
@@ -484,6 +487,182 @@ class TestSessions:
             oracle._marginal_probs(0, pins)
         with pytest.raises(ZeroMeasurePinning):
             oracle.session(pins).marginal(0)
+
+
+def _affine_oracle(data, min_rows: int = 0):
+    """``random_affine(n, m)`` for n up to 64 and m in [min_rows, n] (the
+    ends drawn often), or a system with dependent rows."""
+    if data.draw(st.booleans(), label="dependent"):
+        return data.draw(dependent_affines(64))
+    n = data.draw(st.integers(max(1, min_rows), 64), label="n")
+    m = data.draw(st.one_of(st.just(min_rows), st.just(n), st.integers(min_rows, n)), label="m")
+    return random_affine(n, m, data.draw(st.integers(0, 999)))
+
+
+# Hardness shapes with r >= 3 blocks (n, (r, m, a)); a_1 = 0 makes a
+# block whose every coordinate is forced.
+HARDNESS_SHAPES = [(18, (3, 6, [1, 3, 5])), (20, (4, 5, [0, 1, 2, 4])), (21, (3, 7, [2, 4, 6]))]
+
+
+def _hardness_oracle(data) -> HardnessOracle:
+    n, override = data.draw(st.sampled_from(HARDNESS_SHAPES))
+    return marginal_oracle_view(generate(n, 1.0, data.draw(st.integers(0, 999)), override=override))
+
+
+def _echelon_oracle(data, min_rows: int = 0):
+    if data.draw(st.booleans(), label="hardness"):
+        return _hardness_oracle(data)
+    return _affine_oracle(data, min_rows)
+
+
+def _symbol(data, oracle, coord, pins):
+    """Mostly a symbol the reference gives positive mass, else any bit."""
+    if data.draw(st.integers(0, 3)) > 0:
+        try:
+            probs = oracle._marginal_probs(coord, pins)
+        except ZeroMeasurePinning:
+            pass
+        else:
+            return data.draw(st.sampled_from([x for x in range(2) if probs[x] > 0.0]))
+    return data.draw(st.integers(0, 1))
+
+
+class TestEchelonSessions:
+    """Affine and hardness sessions on shapes beyond ``session_families``:
+    n up to 64, m = 0 and m = n, dependent rows, r >= 3 blocks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_session_answers_equal_the_reference(self, data):
+        oracle = _echelon_oracle(data)
+        coords = data.draw(st.permutations(range(oracle.n)))
+        k = data.draw(st.integers(0, oracle.n - 1))
+        free = coords[k:]
+        session = oracle.session()
+        pins: dict[int, int] = {}
+
+        def check(s, target):
+            expected = _answer(lambda t: oracle._marginal_probs(t, pins), target)
+            assert _answer(s.marginal, target) == expected
+
+        for coord in coords[:k]:
+            target = data.draw(st.sampled_from(free))
+            check(session, target)
+            sym = _symbol(data, oracle, coord, pins)
+            session.pin(coord, sym)
+            pins[coord] = sym
+            if data.draw(st.booleans()):
+                # A refused repin leaves every answer as it was.
+                again = data.draw(st.sampled_from(sorted(pins)))
+                with pytest.raises(MalformedQuery, match="already pinned"):
+                    session.pin(again, data.draw(st.integers(0, 1)))
+            check(session, target)
+        from_base = oracle.session(pins)
+        for target in free:
+            check(session, target)
+            check(from_base, target)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_contradiction_refuses_its_system(self, data):
+        # Walk the coordinates pinning free ones to any bit, until one is
+        # forced; pin that one to the other bit.
+        oracle = _echelon_oracle(data, min_rows=1)
+        coords = data.draw(st.permutations(range(oracle.n)))
+        pins: dict[int, int] = {}
+        for step, coord in enumerate(coords):
+            probs = oracle._marginal_probs(coord, pins)
+            if probs.max() == 1.0:
+                break
+            pins[coord] = data.draw(st.integers(0, 1))
+        free = coords[step + 1 :]
+        assume(probs.max() == 1.0 and free)
+        wrong = int(probs.argmin())
+        bad = {**pins, coord: wrong}
+        pinned = oracle.session(pins)
+        pinned.pin(coord, wrong)
+        for session in (pinned, oracle.session(bad)):
+            # Repinning the contradiction to its forced bit is refused too.
+            with pytest.raises(MalformedQuery, match="already pinned"):
+                session.pin(coord, 1 - wrong)
+            for target in free:
+                expected = _answer(lambda t: oracle._marginal_probs(t, bad), target)
+                assert _answer(session.marginal, target) == expected
+                if isinstance(oracle, HardnessOracle):
+                    # Only the contradicted block is refused.
+                    same = oracle._index[target][0] == oracle._index[coord][0]
+                    assert (expected == "zero-measure") == same
+                else:
+                    assert expected == "zero-measure"
+        if isinstance(oracle, HardnessOracle):
+            # The refusal names the caller's pins, not a block's columns.
+            block = oracle._index[coord][0]
+            for target in free:
+                if oracle._index[target][0] == block:
+                    with pytest.raises(ZeroMeasurePinning, match=re.escape(repr(bad))):
+                        pinned.marginal(target)
+
+
+def _approximate_reference(oracle: ApproximateOracle, target: int, pins: dict) -> np.ndarray:
+    """The marginal from the q extended pinnings' perturbed counts, each
+    hashed on its own."""
+    logs = np.empty(oracle.q)
+    for x in range(oracle.q):
+        logs[x] = oracle._perturbed_log_count({**pins, target: x})
+    top = logs.max()
+    if top == -math.inf:
+        raise ZeroMeasurePinning("reference")
+    weights = np.exp(logs - top)
+    return weights / weights.sum()
+
+
+def _perturbed_from_words(oracle: ApproximateOracle, pins: dict) -> float:
+    """The perturbed log count by its definition: fold the sorted pins into
+    a key, then read words 1 (failure) and 0 (noise) of the (seed, key)
+    stream."""
+    base = oracle.inner._log_probability(pins)
+    if base == -math.inf:
+        return base
+    key = 0x5B5AD4DD4EE5DD1B
+    for pos, val in sorted(pins.items()):
+        key = rng.mix64(key ^ pos)
+        key = rng.mix64(key ^ val)
+    if oracle.delta > 0.0 and rng.unit_float(rng.word64(oracle.seed, key, 1)) < oracle.delta:
+        return base + math.log(2.0)
+    if oracle.epsilon == 0.0:
+        return base
+    u = 2.0 * rng.unit_float(rng.word64(oracle.seed, key, 0)) - 1.0
+    return base + math.log1p(oracle.epsilon * u)
+
+
+class TestApproximateFold:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_marginal_equals_the_from_scratch_reference(self, data):
+        if data.draw(st.booleans(), label="affine inner"):
+            n = data.draw(st.integers(2, 6))
+            inner = random_affine(n, data.draw(st.integers(0, n)), data.draw(st.integers(0, 99)))
+        else:
+            n, q = data.draw(st.sampled_from([(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)]))
+            # Zero weights put zero-measure targets within reach.
+            weights = np.array(data.draw(st.lists(st.integers(0, 3), min_size=q**n, max_size=q**n)),
+                               dtype=np.float64)
+            weights[0] += weights.sum() == 0
+            inner = TableOracle(n, q, weights / weights.sum())
+        corner = st.one_of(st.just(0.0), st.floats(0.0, 0.99))
+        oracle = ApproximateOracle(
+            inner, data.draw(corner, label="epsilon"), data.draw(corner, label="delta"),
+            data.draw(st.integers(0, (1 << 64) - 1), label="seed"),
+        )
+        pairs, free = _draw_pins(data, oracle)
+        pins = dict(pairs)
+        for target in free:
+            assert _answer(lambda t: oracle._marginal_probs(t, pins), target) == _answer(
+                lambda t: _approximate_reference(oracle, t, pins), target
+            )
+            for x in range(oracle.q):
+                ext = {**pins, target: x}
+                assert oracle._log_probability(ext) == _perturbed_from_words(oracle, ext)
 
 
 # Non-integer and bool inputs, as a target, a pinned coordinate or a symbol.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import empirical_tv, session_families
+from support import dependent_affines, empirical_tv, session_families
 from countsample import rng
 from countsample.coupler import CouplerKind, couple_probs
 from countsample.diagnostics import joint_table
@@ -274,6 +274,7 @@ _RANDOM_FAMILIES = {
     "affine": st.integers(1, 10).flatmap(
         lambda n: st.builds(random_affine, st.just(n), st.integers(0, n), _SEEDS)
     ),
+    "affine-dependent": dependent_affines(10),
     "grid": _grid(),
     "grid-2x3": _grid(),
     "grid-3x4": _grid(),
