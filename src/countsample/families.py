@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import rng
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix
 from .gridmatch import GridMatchingOracle
-from .hardness import _block_bits
+from .hardness import _block_bits, _consistent_code
 from .oracle import (
     AffineCodeOracle,
     ConditionalOracle,
@@ -60,24 +60,14 @@ def pair_copy(n: int, q: int = 2) -> PairCopyOracle:
 
 
 def random_affine(n: int, constraints: int, seed: int) -> AffineCodeOracle:
-    """Uniform random consistent GF(2) system with ``constraints`` rows."""
-    if not 0 <= constraints <= n:
-        raise ValueError("constraints must lie in [0, n]")
+    """Uniform random consistent GF(2) system with ``constraints`` rows;
+    the rhs is redrawn as ``hardness.generate`` redraws it."""
+    if n < 1 or not 0 <= constraints <= n:
+        raise ValueError("need n >= 1 and constraints in [0, n]")
     rows = tuple(
         _block_bits(seed, _AFFINE_ROW_STREAM, 0, i, n) for i in range(constraints)
     )
-    matrix = BitMatrix(n, rows)
-    attempt = 0
-    while True:
-        bits = _block_bits(seed, _AFFINE_RHS_STREAM, 0, attempt, max(1, constraints))
-        bits &= (1 << constraints) - 1
-        rhs = BitVector(constraints, bits)
-        try:
-            return AffineCodeOracle(matrix, rhs)
-        except ValueError:
-            attempt += 1
-            if attempt > 10_000:
-                raise RuntimeError("failed to draw a consistent affine system")
+    return _consistent_code(BitMatrix(n, rows), seed, _AFFINE_RHS_STREAM, 0, 0)[0]
 
 
 def grid(w: int, h: int) -> GridMatchingOracle:

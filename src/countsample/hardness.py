@@ -11,10 +11,11 @@ at least ``1 - 2^(d - a_i)``, and well above it returns zero.
 randomness per trial, which is the randomness the statements quantify
 over).
 
-Counting is exact: a hypercube restricted to a block is a pinned affine
-solve, and the full count is the sum of per-block log2 counts.  The
-sampler-facing ``HardnessOracle`` answers through a product of per-block
-affine sessions, each keeping its pinned block system in echelon form.
+Counting is exact: a hypercube restricted to a block is its pins reduced
+into a copy of the pivots of the block's :class:`AffineCodeOracle`, which
+the instance builds once, and the full count is the sum of per-block log2
+counts.  The sampler-facing ``HardnessOracle`` answers through a product
+of per-block affine sessions over the same oracles.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ class HardnessInstance:
 
     ``blocks[i]`` lists the coordinates of block i (sizes differ by at most
     one when r does not divide n); ``codes[i]`` is the (matrix, rhs) pair
-    with ``len(blocks[i]) - a[i]`` rows.
+    with ``len(blocks[i]) - a[i]`` rows.  Each code is validated by building
+    its :class:`AffineCodeOracle`, the block's one elimination; those
+    oracles and the coordinate index are derived state, not fields.
     """
 
     n: int
@@ -95,25 +98,18 @@ class HardnessInstance:
                 raise ValueError("code shape does not match its block")
             if rhs.length != matrix.nrows:
                 raise ValueError("rhs length does not match code rows")
-            if solve_affine_with_pinning(matrix, rhs, ()) is None:
-                raise ValueError("every block code must be consistent")
+        # AffineCodeOracle refuses an inconsistent code.
+        object.__setattr__(self, "_oracles", tuple(AffineCodeOracle(*code) for code in self.codes))
+        index = {pos: (bi, col) for bi, b in enumerate(self.blocks) for col, pos in enumerate(b)}
+        object.__setattr__(self, "_index", index)
 
     def position_index(self) -> dict[int, tuple[int, int]]:
         """coordinate -> (block index, local column)."""
-        out: dict[int, tuple[int, int]] = {}
-        for bi, block in enumerate(self.blocks):
-            for local, pos in enumerate(block):
-                out[pos] = (bi, local)
-        return out
+        return dict(self._index)
 
     def support_log2(self) -> int:
         """log2 of the number of code-satisfying strings."""
-        total = 0
-        for matrix, rhs in self.codes:
-            count = solve_affine_with_pinning(matrix, rhs, ())
-            assert count is not None
-            total += count
-        return total
+        return sum(block._log2_total for block in self._oracles)
 
     def to_json(self) -> dict:
         return {
@@ -191,7 +187,7 @@ def generate(
     override: tuple[int, int, list[int]] | None = None,
 ) -> HardnessInstance:
     """Draw an instance: uniform partition, uniform code rows, rhs redrawn
-    until every block is consistent.
+    until every block is consistent (:func:`_consistent_code`).
 
     ``override`` supplies explicit ``(r, m, [a_1..a_r])`` for toy-scale
     work, since the closed-form constants only become feasible around
@@ -227,24 +223,15 @@ def generate(
         start += size
 
     codes: list[tuple[BitMatrix, BitVector]] = []
-    rejections = 0
-    rhs_counter = 0
+    draws = 0
     for bi, (block, a_i) in enumerate(zip(blocks, a)):
         size = len(block)
-        nrows = size - a_i
         rows = tuple(
-            _block_bits(seed, _ROW_STREAM, bi, row, size) for row in range(nrows)
+            _block_bits(seed, _ROW_STREAM, bi, row, size) for row in range(size - a_i)
         )
-        matrix = BitMatrix(size, rows)
-        while True:
-            bits = _block_bits(seed, _RHS_STREAM, bi, rhs_counter, max(1, nrows))
-            bits &= (1 << nrows) - 1
-            rhs_counter += 1
-            rhs = BitVector(nrows, bits)
-            if solve_affine_with_pinning(matrix, rhs, ()) is not None:
-                break
-            rejections += 1
-        codes.append((matrix, rhs))
+        code, used = _consistent_code(BitMatrix(size, rows), seed, _RHS_STREAM, bi, draws)
+        draws += used
+        codes.append((code.matrix, code.rhs))
 
     return HardnessInstance(
         n=n,
@@ -256,7 +243,7 @@ def generate(
         codes=tuple(codes),
         seed=seed,
         overridden=overridden,
-        rejections=rejections,
+        rejections=draws - r,
     )
 
 
@@ -269,30 +256,44 @@ def _block_bits(seed: int, stream: int, block: int, index: int, nbits: int) -> i
     return value & ((1 << nbits) - 1)
 
 
+def _consistent_code(matrix: BitMatrix, seed: int, stream: int, block: int, first: int):
+    """``(AffineCodeOracle, draws taken)`` for ``matrix`` and the first rhs
+    among draws ``first, first + 1, ...`` of ``stream`` that the oracle's
+    constructor accepts; ``ValueError`` after 10 000 refused draws."""
+    nrows = matrix.nrows
+    for draw in range(first, first + 10_000):
+        bits = _block_bits(seed, stream, block, draw, max(1, nrows)) & ((1 << nrows) - 1)
+        try:
+            return AffineCodeOracle(matrix, BitVector(nrows, bits)), draw - first + 1
+        except ValueError:
+            pass
+    raise ValueError("no consistent right-hand side in 10000 draws")
+
+
 def count_hypercube(instance: HardnessInstance, pinned: Mapping[int, int]) -> int | None:
     """log2 of the number of support strings inside the pinned hypercube;
     None when the hypercube misses the support entirely.
 
     The partition makes the count a product over blocks, realized here as
-    a sum of per-block pinned-solve log2 counts.
+    a sum of per-block log2 counts, none of which eliminates a code.
     """
     for pos, bit in pinned.items():
         if not 0 <= pos < instance.n:
             raise ValueError(f"pinned coordinate {pos} outside [0, {instance.n})")
         if bit not in (0, 1):
             raise ValueError("hypercube pins must be bits")
-    return _count_blocks(instance, instance.position_index(), pinned)
+    return _count_blocks(instance, pinned)
 
 
-def _count_blocks(instance: HardnessInstance, index: Mapping, pinned: Mapping) -> int | None:
-    """``count_hypercube`` on trusted pins, given ``instance.position_index()``."""
+def _count_blocks(instance: HardnessInstance, pinned: Mapping) -> int | None:
+    """``count_hypercube`` on trusted pins."""
     local: list[list[tuple[int, int]]] = [[] for _ in range(instance.r)]
     for pos, bit in pinned.items():
-        bi, col = index[pos]
+        bi, col = instance._index[pos]
         local[bi].append((col, bit))
     total = 0
-    for (matrix, rhs), pins in zip(instance.codes, local):
-        count = solve_affine_with_pinning(matrix, rhs, pins)
+    for block, pins in zip(instance._oracles, local):
+        count = block._pinned_log2(pins)
         if count is None:
             return None
         total += count
@@ -303,15 +304,15 @@ class HardnessOracle(ConditionalOracle):
     """Conditional-marginal view of a hardness instance (q = 2).
 
     The distribution is the product of the blocks' uniform affine codes,
-    held as one :class:`AffineCodeOracle` per block.  A coordinate's
-    marginal depends only on its own block (the other blocks' counts cancel
-    in the ratio), so it is that block oracle's marginal at the target's
-    local column under the pins that fall in the block.  A session is the
-    product of one affine session per block: each pin and each target is
-    routed to its block's session by ``position_index``, so a query is one
-    row reduction in one block.  As for every family, the public
-    ``conditional_marginal`` also checks that the whole pinning has
-    positive measure.
+    held as the instance's block oracles, which the view reuses with the
+    instance's index.  A coordinate's marginal depends only on its own
+    block (the other blocks' counts cancel in the ratio), so it is that
+    block oracle's marginal at the target's local column under the pins
+    that fall in the block.  A session is the product of one affine
+    session per block: each pin and each target is routed to its block's
+    session by the index, so a query is one row reduction in one block.
+    As for every family, the public ``conditional_marginal`` also checks
+    that the whole pinning has positive measure.
     """
 
     variant = "hardness"
@@ -320,9 +321,9 @@ class HardnessOracle(ConditionalOracle):
         self.instance = instance
         self.n = instance.n
         self.q = 2
-        self._index = instance.position_index()
-        self._blocks = tuple(AffineCodeOracle(matrix, rhs) for matrix, rhs in instance.codes)
-        self._support_log2 = sum(block._log2_total for block in self._blocks)
+        self._index = instance._index
+        self._blocks = instance._oracles
+        self._support_log2 = instance.support_log2()
 
     def session(
         self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
@@ -343,7 +344,7 @@ class HardnessOracle(ConditionalOracle):
             raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0") from None
 
     def _log_probability(self, pins: Mapping[int, int]) -> float:
-        count = _count_blocks(self.instance, self._index, pins)
+        count = _count_blocks(self.instance, pins)
         if count is None:
             return -math.inf
         return (count - self._support_log2) * _LN2

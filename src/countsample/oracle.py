@@ -41,7 +41,7 @@ question asked again under them is answered once; the memo lives and dies
 with one session, never on the oracle.  The affine session (and the
 hardness session, one affine session per block) copies the pivots of the
 base system, eliminated once at construction, and reduces each pin into
-them.
+them; a pinned count is read off such a session.
 
 The public query ``conditional_marginal(target, pins)`` is a validating
 wrapper over the same session: it rejects malformed input, raises
@@ -67,6 +67,7 @@ from . import rng
 from .gf2 import (
     BitMatrix,
     BitVector,
+    _count_log2,
     affine_pivots,
     bits_to_hex,
     hex_to_bits,
@@ -515,9 +516,9 @@ class AffineCodeOracle(ConditionalOracle):
     the span of the pinned system.  The constructor eliminates ``[B | v]``
     once and keeps its pivots (``gf2.affine_pivots``).  A session copies
     them and reduces each pin and each target's unit row against them, one
-    O(rank) reduction per call.  The reference ``_marginal_probs`` takes two
-    pinned solution counts (target forced to 0 and to 1) instead; the two
-    agree byte for byte.
+    O(rank) reduction per call; a pinned count is read off such a session.
+    The reference ``_marginal_probs`` takes two pinned solution counts
+    (target forced to 0 and to 1) instead; the two agree byte for byte.
     """
 
     variant = "affine"
@@ -554,10 +555,15 @@ class AffineCodeOracle(ConditionalOracle):
         return np.array([0.5, 0.5])
 
     def _log_probability(self, pins: Mapping[int, int]) -> float:
-        count = solve_affine_with_pinning(self.matrix, self.rhs, pins.items())
+        count = self._pinned_log2(pins)
         if count is None:
             return -math.inf
         return (count - self._log2_total) * _LN2
+
+    def _pinned_log2(self, pins) -> int | None:
+        """log2 count under trusted ``(column, bit)`` pins (None at zero
+        measure), read off the pivots of a session holding them."""
+        return _count_log2(self.n, _AffineSession(self, dict(pins))._pivots)
 
     def to_json(self) -> dict:
         return {

@@ -345,25 +345,29 @@ def run_sampler(oracle: ConditionalOracle, config: SamplerConfig):
 
 def compute_abar(oracle: ConditionalOracle, config: SamplerConfig, i: int) -> int:
     """Largest prefix length under which re-coupling position ``i``
-    disagrees with its final value (0 when no prefix disagrees).
-
-    Brute force: runs the full recursion, then re-couples position ``i``
-    against each prefix pinning from ``i-1`` down to 0 with the same tape.
-    Intended for small instances (n <= 12).
-    """
+    disagrees with its final value (0 when no prefix disagrees).  Brute
+    force (:func:`_abars`), intended for small instances (n <= 12)."""
     n = oracle.n
     if not 1 <= i <= n:
         raise ValueError(f"position {i} outside [1, {n}]")
-    perm = _resolve_permutation(config, n)
-    sample, _ = sequential_sample(oracle, config)
-    coord_i = perm[i - 1]
-    final = sample.values[coord_i]
-    for a in range(i - 1, -1, -1):
-        pins = {perm[j - 1]: sample.values[perm[j - 1]] for j in range(1, a + 1)}
-        probs = oracle._marginal_probs(coord_i, pins)
-        if couple_probs(config.coupler, probs, config.seed, i) != final:
-            return a
-    return 0
+    return _abars(oracle, config)[i - 1]
+
+
+def _abars(oracle: ConditionalOracle, config: SamplerConfig) -> list[int]:
+    """Every position's abar: runs the full recursion, then walks one
+    session through its prefixes in permutation order, re-coupling each
+    later position with the same tape; the last disagreeing prefix wins."""
+    perm = _resolve_permutation(config, oracle.n)
+    values = sequential_sample(oracle, config)[0].values
+    abar = [0] * oracle.n
+    session = oracle.session()
+    for a, pinned in enumerate(perm):
+        for i in range(a + 1, oracle.n + 1):
+            probs = session.marginal(perm[i - 1])
+            if couple_probs(config.coupler, probs, config.seed, i) != values[perm[i - 1]]:
+                abar[i - 1] = a
+        session.pin(pinned, values[pinned])
+    return abar
 
 
 def deterministic_round_bound(
@@ -378,7 +382,5 @@ def deterministic_round_bound(
     if theta < 1:
         raise ValueError("theta must be >= 1")
     n = oracle.n
-    hits = sum(
-        1 for i in range(1, n + 1) if compute_abar(oracle, config, i) >= i - theta
-    )
+    hits = sum(1 for i, abar in enumerate(_abars(oracle, config), 1) if abar >= i - theta)
     return hits + 1 + n // theta

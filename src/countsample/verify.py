@@ -156,7 +156,7 @@ def suite_hardness(seed: int) -> list[dict]:
 
 
 def suite_oracle_consistency(seed: int) -> list[dict]:
-    """Chain-rule reconstruction of the joint from marginal answers."""
+    """Chain-rule reconstruction of the joint through sessions' answers."""
     checks = []
     instances = [
         ("table", random_table(4, 2, rng.word64(seed, 7, 0))),
@@ -179,17 +179,17 @@ def _chain_rule_error(oracle, truth: np.ndarray, order: list[int]) -> float:
     worst = 0.0
     for config in itertools.product(range(q), repeat=n):
         prob = 1.0
-        pins: dict[int, int] = {}
+        session = oracle.session()
         for coord in order:
             if prob <= 0.0:
                 break
             try:
-                marginal = oracle._marginal_probs(coord, pins)
+                marginal = session.marginal(coord)
             except ZeroMeasurePinning:
                 prob = 0.0
                 break
             prob *= float(marginal[config[coord]])
-            pins[coord] = config[coord]
+            session.pin(coord, config[coord])
         worst = max(worst, abs(prob - float(truth[config])))
     return worst
 

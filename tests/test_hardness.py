@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from countsample import rng
+from countsample import families, gf2, hardness, rng
+from countsample import oracle as oracle_mod
+from countsample.cli import EXIT_ORACLE, main
 from countsample.gf2 import BitMatrix, BitVector
 from countsample.hardness import (
     HardnessInstance,
@@ -149,6 +151,63 @@ class TestGenerate:
         b = generate(**TOY)
         assert a == b
 
+    def test_derived_state_stays_out_of_the_fields(self, toy):
+        # The block oracles and the index are rebuilt by every constructor
+        # call, and JSON, equality and repr see only the fields.
+        instance, _ = toy
+        assert HardnessInstance.from_json(instance.to_json()) == instance
+        again = dataclasses.replace(instance)
+        assert again == instance and again._oracles is not instance._oracles
+        assert [f.name for f in dataclasses.fields(instance)] == [
+            "n", "c", "r", "m", "blocks", "a", "codes", "seed", "overridden", "rejections"
+        ]
+        assert "_oracles" not in repr(instance) and "_index" not in repr(instance)
+        assert again.position_index() == instance._index
+        matrix, rhs = instance.codes[0]
+        flipped = (matrix, BitVector(rhs.length, rhs.bits ^ 1))
+        duplicated = (BitMatrix(matrix.cols, (matrix.rows[0],) * matrix.nrows),
+                      BitVector(rhs.length, 1))
+        with pytest.raises(ValueError, match="consistent"):
+            dataclasses.replace(instance, codes=(duplicated,) + instance.codes[1:])
+        changed = dataclasses.replace(instance, codes=(flipped,) + instance.codes[1:])
+        assert changed != instance and changed._oracles[0].rhs == flipped[1]
+
+
+class TestRhsRedraw:
+    IDENTICAL = BitMatrix(24, (0b101101,) * 20)
+
+    def test_redraw_stops_after_ten_thousand_draws(self, monkeypatch):
+        # 20 identical rows take an rhs of 20 equal bits, 2 draws in 2^20;
+        # seed 0 draws none in 10 000.
+        draws = []
+        real = hardness._block_bits
+
+        def counted(*args):
+            draws.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(hardness, "_block_bits", counted)
+        with pytest.raises(ValueError, match="10000 draws"):
+            hardness._consistent_code(self.IDENTICAL, 0, 103, 0, 7)
+        assert draws == list(range(7, 10_007))
+
+    def test_builtin_affine_spec_exits_two(self, monkeypatch, capsys):
+        # Every row drawn identical: the CLI maps the redraw's ValueError.
+        monkeypatch.setattr(families, "_block_bits", lambda *args: 0b101101)
+        spec = "builtin:affine:n=24,constraints=20,seed=0"
+        with pytest.raises(ValueError, match="10000 draws"):
+            families.build_builtin(spec)
+        assert main(["sample", "--oracle", spec]) == EXIT_ORACLE
+        assert "10000 draws" in capsys.readouterr().err
+
+    def test_rejections_count_the_redrawn_rhs(self):
+        # Two identical rows: a draw is consistent when its two bits agree.
+        # Seed 1 refuses draw 0 and takes draw 1.
+        code, used = hardness._consistent_code(BitMatrix(6, (0b11, 0b11)), 1, 103, 0, 0)
+        assert used == 2
+        assert hardness._block_bits(1, 103, 0, 0, 2) in (0b01, 0b10)
+        assert code.rhs.bits == hardness._block_bits(1, 103, 0, 1, 2) in (0b00, 0b11)
+
 
 class TestCounting:
     def test_empty_hypercube_is_full_support(self, toy):
@@ -181,6 +240,36 @@ class TestCounting:
             )
             got = count_hypercube(instance, pins)
             assert (0 if got is None else 2**got) == expected
+
+
+class TestOneElimination:
+    def test_view_support_and_counts_eliminate_nothing(self, monkeypatch):
+        # Every elimination runs gf2._echelon (affine_pivots and the pinned
+        # solves call it); after the instance is built none may run.
+        instance = generate(21, 1.0, 3, override=(3, 7, [2, 4, 6]))
+        calls = []
+        real = gf2._echelon
+
+        def counted(rows):
+            calls.append(1)
+            return real(rows)
+
+        monkeypatch.setattr(gf2, "_echelon", counted)
+        monkeypatch.setattr(oracle_mod, "affine_pivots", lambda *args: calls.append(1))
+        oracle = marginal_oracle_view(instance)
+        assert instance.support_log2() == oracle._support_log2
+        gen = np.random.default_rng(2)
+        for _ in range(20):
+            coords = gen.permutation(instance.n)[: int(gen.integers(0, instance.n + 1))]
+            pins = {int(c): int(gen.integers(0, 2)) for c in coords}
+            count_hypercube(instance, pins)
+            oracle._log_probability(pins)
+            oracle._blocks[0]._log_probability(
+                {col: pins.get(pos, 0) for col, pos in enumerate(instance.blocks[0])}
+            )
+        assert calls == []
+        gf2.solve_affine_with_pinning(*instance.codes[0], ())
+        assert calls == [1]
 
 
 class TestOracleView:

@@ -18,7 +18,7 @@ from countsample.families import (
     sticky_markov,
 )
 from countsample.gf2 import BitMatrix, BitVector, solve_affine_with_pinning
-from countsample.hardness import HardnessOracle, generate, marginal_oracle_view
+from countsample.hardness import HardnessOracle, count_hypercube, generate, marginal_oracle_view
 from countsample.oracle import (
     AffineCodeOracle,
     ApproximateOracle,
@@ -601,6 +601,52 @@ class TestEchelonSessions:
                 if oracle._index[target][0] == block:
                     with pytest.raises(ZeroMeasurePinning, match=re.escape(repr(bad))):
                         pinned.marginal(target)
+
+
+def _reference_count(oracle, pins: dict):
+    """log2 count and support log2 of ``pins`` from fresh pinned solves; for
+    a hardness view, each pin is routed by searching the blocks' tuples."""
+    if isinstance(oracle, AffineCodeOracle):
+        return (
+            solve_affine_with_pinning(oracle.matrix, oracle.rhs, pins.items()),
+            solve_affine_with_pinning(oracle.matrix, oracle.rhs, ()),
+        )
+    instance = oracle.instance
+    count = total = 0
+    for block, (matrix, rhs) in zip(instance.blocks, instance.codes):
+        local = [(block.index(pos), bit) for pos, bit in pins.items() if pos in block]
+        total += solve_affine_with_pinning(matrix, rhs, ())
+        block_count = solve_affine_with_pinning(matrix, rhs, local)
+        count = None if count is None or block_count is None else count + block_count
+    return count, total
+
+
+class TestPinnedCounts:
+    """Every pinned count reduces its pins into a copy of the pivots
+    eliminated at construction; it must equal a fresh pinned solve."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_counts_equal_a_fresh_solve(self, data):
+        oracle = _echelon_oracle(data)
+        for _ in range(3):
+            # Mostly symbols of positive mass, so both finite counts and
+            # contradictions occur.
+            coords = data.draw(st.permutations(range(oracle.n)))
+            pins: dict[int, int] = {}
+            for coord in coords[: data.draw(st.integers(0, oracle.n))]:
+                pins[coord] = _symbol(data, oracle, coord, pins)
+            count, total = _reference_count(oracle, pins)
+            expected = -math.inf if count is None else (count - total) * math.log(2.0)
+            assert oracle._log_probability(pins).hex() == expected.hex()
+            if isinstance(oracle, HardnessOracle):
+                assert count_hypercube(oracle.instance, pins) == count
+                assert oracle.instance.support_log2() == total
+        # A count leaves the oracle as it was.
+        assert oracle._log_probability({}) == 0.0
+        assert _answer(oracle.session().marginal, 0) == _answer(
+            lambda t: oracle._marginal_probs(t, {}), 0
+        )
 
 
 def _approximate_reference(oracle: ApproximateOracle, target: int, pins: dict) -> np.ndarray:

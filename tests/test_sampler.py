@@ -632,6 +632,25 @@ class TestEfficient:
             assert np.mean(ratios) <= 8.0
 
 
+def _per_position_abar(oracle, config: SamplerConfig, i: int) -> int:
+    """``compute_abar`` as first written: a fresh sample per position and a
+    fresh pin dict per prefix, from ``i - 1`` down to 0."""
+    n = oracle.n
+    if config.permutation is PermutationMode.IDENTITY:
+        perm = list(range(n))
+    else:
+        perm = rng.permutation(config.seed, n)
+    sample, _ = sequential_sample(oracle, config)
+    coord_i = perm[i - 1]
+    final = sample.values[coord_i]
+    for a in range(i - 1, -1, -1):
+        pins = {perm[j - 1]: sample.values[perm[j - 1]] for j in range(1, a + 1)}
+        probs = oracle._marginal_probs(coord_i, pins)
+        if couple_probs(config.coupler, probs, config.seed, i) != final:
+            return a
+    return 0
+
+
 class TestAbar:
     def test_product_always_zero(self):
         oracle = random_product(6, 2, seed=3)
@@ -667,6 +686,30 @@ class TestAbar:
             _, trace = efficient_sample(oracle, config)
             bound = deterministic_round_bound(oracle, config, theta)
             assert trace.rounds <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_abars_equal_the_per_position_formula(self, data):
+        # One sample and one session give every abar the per-position
+        # formula gives with a fresh sample and fresh pins per prefix.
+        n = data.draw(st.integers(1, 7))
+        q = data.draw(st.integers(2, 3))
+        if data.draw(st.booleans(), label="sparse"):
+            # Zero-mass states, so some prefixes force their positions.
+            weights = [float(x % 3 == 0) for x in range(q**n)]
+            oracle = TableOracle(n, q, [w / sum(weights) for w in weights])
+        else:
+            oracle = random_table(n, q, seed=data.draw(st.integers(0, 999)))
+        config = SamplerConfig(
+            seed=data.draw(st.integers(0, 2**48)),
+            coupler=data.draw(st.sampled_from(COUPLERS)),
+            permutation=data.draw(st.sampled_from(list(PermutationMode))),
+        )
+        theta = data.draw(st.integers(1, n + 1))
+        abars = [_per_position_abar(oracle, config, i) for i in range(1, n + 1)]
+        assert [compute_abar(oracle, config, i) for i in range(1, n + 1)] == abars
+        hits = sum(1 for i, abar in enumerate(abars, start=1) if abar >= i - theta)
+        assert deterministic_round_bound(oracle, config, theta) == hits + 1 + n // theta
 
     def test_bound_formula_product(self):
         # abar_i == 0 on a product instance, so the hit set is exactly
