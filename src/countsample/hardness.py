@@ -62,6 +62,8 @@ class HardnessInstance:
     with ``len(blocks[i]) - a[i]`` rows.  Each code is validated by building
     its :class:`AffineCodeOracle`, the block's one elimination; those
     oracles and the coordinate index are derived state, not fields.
+    :func:`generate` hands in the oracles it accepted the codes with
+    (:meth:`_from_oracles`), so each code is still eliminated once.
     """
 
     n: int
@@ -98,10 +100,23 @@ class HardnessInstance:
                 raise ValueError("code shape does not match its block")
             if rhs.length != matrix.nrows:
                 raise ValueError("rhs length does not match code rows")
-        # AffineCodeOracle refuses an inconsistent code.
-        object.__setattr__(self, "_oracles", tuple(AffineCodeOracle(*code) for code in self.codes))
+        if "_oracles" not in self.__dict__:
+            # AffineCodeOracle refuses an inconsistent code.
+            oracles = tuple(AffineCodeOracle(*code) for code in self.codes)
+            object.__setattr__(self, "_oracles", oracles)
         index = {pos: (bi, col) for bi, b in enumerate(self.blocks) for col, pos in enumerate(b)}
         object.__setattr__(self, "_index", index)
+
+    @classmethod
+    def _from_oracles(cls, oracles: Iterable[AffineCodeOracle], **fields) -> "HardnessInstance":
+        """The instance of ``fields`` whose codes are the systems of the
+        block ``oracles``, which it keeps instead of eliminating the codes
+        again.  The shape checks run as in the constructor."""
+        instance = cls.__new__(cls)
+        oracles = tuple(oracles)
+        object.__setattr__(instance, "_oracles", oracles)
+        instance.__init__(codes=tuple((o.matrix, o.rhs) for o in oracles), **fields)
+        return instance
 
     def position_index(self) -> dict[int, tuple[int, int]]:
         """coordinate -> (block index, local column)."""
@@ -187,7 +202,8 @@ def generate(
     override: tuple[int, int, list[int]] | None = None,
 ) -> HardnessInstance:
     """Draw an instance: uniform partition, uniform code rows, rhs redrawn
-    until every block is consistent (:func:`_consistent_code`).
+    until every block is consistent (:func:`_consistent_code`).  Each draw
+    is one elimination, and the instance keeps the accepted draw's oracle.
 
     ``override`` supplies explicit ``(r, m, [a_1..a_r])`` for toy-scale
     work, since the closed-form constants only become feasible around
@@ -222,25 +238,25 @@ def generate(
         blocks.append(tuple(shuffled[start : start + size]))
         start += size
 
-    codes: list[tuple[BitMatrix, BitVector]] = []
+    oracles: list[AffineCodeOracle] = []
     draws = 0
     for bi, (block, a_i) in enumerate(zip(blocks, a)):
         size = len(block)
         rows = tuple(
             _block_bits(seed, _ROW_STREAM, bi, row, size) for row in range(size - a_i)
         )
-        code, used = _consistent_code(BitMatrix(size, rows), seed, _RHS_STREAM, bi, draws)
+        oracle, used = _consistent_code(BitMatrix(size, rows), seed, _RHS_STREAM, bi, draws)
         draws += used
-        codes.append((code.matrix, code.rhs))
+        oracles.append(oracle)
 
-    return HardnessInstance(
+    return HardnessInstance._from_oracles(
+        oracles,
         n=n,
         c=float(c),
         r=r,
         m=m,
         blocks=tuple(blocks),
         a=tuple(a),
-        codes=tuple(codes),
         seed=seed,
         overridden=overridden,
         rejections=draws - r,

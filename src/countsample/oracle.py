@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -67,7 +67,6 @@ from . import rng
 from .gf2 import (
     BitMatrix,
     BitVector,
-    _count_log2,
     affine_pivots,
     bits_to_hex,
     hex_to_bits,
@@ -131,8 +130,10 @@ class PinningSession:
     adds one coordinate not pinned yet; a coordinate pinned twice raises
     ``MalformedQuery`` and leaves the session as it was.  ``marginal``
     answers the target's conditional under the pins so far, and its bytes
-    depend on the set of pins, never on the order they arrived in.  Other
-    inputs are trusted, as for ``_marginal_probs``, whose answer (and
+    depend on the set of pins, never on the order they arrived in.  An
+    answer array is never written after it is returned, so the sampler
+    takes a repeated array object for a repeated answer.  Other inputs are
+    trusted, as for ``_marginal_probs``, whose answer (and
     ``ZeroMeasurePinning``) this default session returns.
     """
 
@@ -297,8 +298,9 @@ class MarkovChainOracle(ConditionalOracle):
     finds the neighbors by bisection, O(log|pins| + q^2 log n) per query;
     the reference ``_marginal_probs`` scans every pin, O(|pins| + q^2 log n).
     Both finish in ``_marginal_from``, so their answers are bit-identical.
-    A session keeps a memo (target -> neighbors, their symbols and the
-    answer), so a repeated question costs one lookup.
+    A session keeps a memo (target -> neighbors and the answer), so a
+    repeated question costs one bisection and one lookup, and returns the
+    same array object.
     """
 
     variant = "markov"
@@ -343,13 +345,14 @@ class MarkovChainOracle(ConditionalOracle):
         length = j - i
         result = None
         pos = i
-        k = length.bit_length() - 1
-        while k >= 0:
-            if length & (1 << k):
-                block = self._lift[k][pos]
-                result = block if result is None else result @ block
-                pos += 1 << k
-            k -= 1
+        # One lift block per set bit of the length, highest first: a
+        # power-of-two gap is its block, with no product.
+        while length:
+            k = length.bit_length() - 1
+            block = self._lift[k][pos]
+            result = block if result is None else result @ block
+            pos += 1 << k
+            length ^= 1 << k
         return result
 
     @staticmethod
@@ -385,7 +388,8 @@ class MarkovChainOracle(ConditionalOracle):
             weights = base
         else:
             weights = base * self._range_product(target, right)[:, pins[right]]
-        total = weights.sum()
+        # ``ndarray.sum`` is this reduction, less a layer of Python calls.
+        total = np.add.reduce(weights)
         if total <= 0.0:
             raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
         return weights / total
@@ -421,11 +425,12 @@ class _MarkovSession(PinningSession):
     memo of the last answer per target.
 
     An answer depends only on the target's nearest pinned neighbors and
-    their symbols, so the memo maps ``target`` to ``(left, right,
-    pins[left], pins[right])`` and the array computed for them; a query
-    with the same four returns that array again.  Zero-measure answers
-    raise and are not stored.  The memo holds at most ``n`` entries and
-    dies with the session.
+    their symbols, and a coordinate is pinned once, so its symbol never
+    changes: the memo maps ``target`` to ``(left, right)`` and the array
+    computed for them, and a query with the same two neighbors returns
+    that same array object again.  Zero-measure answers raise and are not
+    stored.  The memo holds at most ``n`` entries and dies with the
+    session.
     """
 
     __slots__ = ("_keys", "_memo")
@@ -444,17 +449,15 @@ class _MarkovSession(PinningSession):
 
     def marginal(self, target: int) -> np.ndarray:
         keys = self._keys
-        pins = self._pins
         lo = bisect_left(keys, target)
-        hi = bisect_right(keys, target, lo)
+        hi = lo + 1 if lo < len(keys) and keys[lo] == target else lo
         left = keys[lo - 1] if lo else None
         right = keys[hi] if hi < len(keys) else None
-        near = (left, right, pins.get(left), pins.get(right))
         hit = self._memo.get(target)
-        if hit is not None and hit[0] == near:
-            return hit[1]
-        probs = self._oracle._marginal_from(target, left, right, pins)
-        self._memo[target] = (near, probs)
+        if hit is not None and hit[0] == left and hit[1] == right:
+            return hit[2]
+        probs = self._oracle._marginal_from(target, left, right, self._pins)
+        self._memo[target] = (left, right, probs)
         return probs
 
 
@@ -561,9 +564,16 @@ class AffineCodeOracle(ConditionalOracle):
         return (count - self._log2_total) * _LN2
 
     def _pinned_log2(self, pins) -> int | None:
-        """log2 count under trusted ``(column, bit)`` pins (None at zero
-        measure), read off the pivots of a session holding them."""
-        return _count_log2(self.n, _AffineSession(self, dict(pins))._pivots)
+        """log2 count under trusted ``(column, bit)`` pins, read off the
+        pivots of a session holding them; None at zero measure, returned at
+        the first pin that contradicts the code, with no later pin reduced."""
+        session = _AffineSession(self, {})
+        pivots = session._pivots
+        for coord, sym in dict(pins).items():
+            session.pin(coord, sym)
+            if 0 in pivots:
+                return None
+        return self.n - len(pivots)
 
     def to_json(self) -> dict:
         return {

@@ -67,9 +67,35 @@ def bounded_word(seed: int, stream: int, counter: int, bound: int) -> tuple[int,
             return w % bound, counter
 
 
+# From this n the swap words are cheaper drawn in one numpy pass than
+# one ``mix64`` at a time.
+_PERMUTATION_NP_MIN = 64
+
+
 def permutation(seed: int, n: int) -> list[int]:
-    """Seeded Fisher-Yates permutation of ``range(n)``."""
-    return _fisher_yates(seed, PERMUTATION_STREAM, 0, n)
+    """Seeded Fisher-Yates permutation of ``range(n)``: the shuffle of
+    :func:`_fisher_yates` on the permutation stream.
+
+    From ``n = 64`` the ``n - 1`` swap words, words ``0..n-2`` of the
+    stream when none is rejected, are drawn in one ``mix64_np`` pass and
+    checked against each bound's rejection zone at once; the swaps then
+    run in Python.  If any word falls in its zone, which happens with
+    probability below ``n**2 / 2**64``, the scalar shuffle runs instead,
+    since every later word shifts.  Smaller ``n`` runs the scalar shuffle,
+    which is cheaper there than numpy's fixed cost.
+    """
+    if n < _PERMUTATION_NP_MIN:
+        return _fisher_yates(seed, PERMUTATION_STREAM, 0, n)
+    words = _words(seed, PERMUTATION_STREAM, n - 1)
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)
+    # A word is rejected past ``_MASK - 2**64 % bound``; a power-of-two
+    # bound has no rejection zone.
+    if (words > np.uint64(_MASK) - (np.uint64(_MASK) - bounds + np.uint64(1)) % bounds).any():
+        return _fisher_yates(seed, PERMUTATION_STREAM, 0, n)
+    order = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), (words % bounds).tolist()):
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 def _fisher_yates(seed: int, stream: int, counter: int, n: int) -> list[int]:

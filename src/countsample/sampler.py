@@ -28,7 +28,11 @@ the session as it goes, and each coordinate is pinned once.  Every
 coupling draws from one ``coupler.Tape`` per sample, built for streams
 ``1..n`` so their first words come in one vectorized draw; a position
 coupled again (its verify, or its guess in a later round) rereads its
-tape instead of redrawing it.
+tape instead of redrawing it.  A verify whose answer is the very array
+its guess got (``is``: a session's memo hit or shared constant) is not
+coupled at all: a coupling is a pure function of the array's bytes and
+the stream, so its symbol is the guess's.  The query is still issued and
+counted.
 """
 
 from __future__ import annotations
@@ -261,6 +265,8 @@ def _window_sample(
 
     The first window position's verify query would have exactly the pins
     its guess had, so it is not issued: its verified value is its guess.
+    A later verify answered with its guess's own array takes the guess's
+    symbol without coupling.
     The verify pass stops at the first mismatch, so every symbol it
     reaches is final and is pinned straight into the settled session: a
     verify query sees the settled prefix and the verified guesses before
@@ -284,7 +290,8 @@ def _window_sample(
         end = a + theta
         if end > n:
             end = n
-        guesses = [couple(settled.marginal(perm[i - 1]), i) for i in range(a + 1, end + 1)]
+        asked = [settled.marginal(perm[i - 1]) for i in range(a + 1, end + 1)]
+        guesses = [couple(probs, i) for i, probs in enumerate(asked, a + 1)]
         coord = perm[a]
         values[coord] = guesses[0]
         settled.pin(coord, guesses[0])
@@ -295,10 +302,11 @@ def _window_sample(
                 probs = settled.marginal(coord)
             except ZeroMeasurePinning:
                 raise InconsistentOracle(len(records) + 1, i) from None
-            symbol = couple(probs, i)
+            guess = guesses[i - a - 1]
+            symbol = guess if probs is asked[i - a - 1] else couple(probs, i)
             values[coord] = symbol
             settled.pin(coord, symbol)
-            if symbol != guesses[i - a - 1]:
+            if symbol != guess:
                 mismatch = i
                 break
         record = RoundRecord(a + 1, end, mismatch)

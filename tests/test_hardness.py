@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -270,6 +271,29 @@ class TestOneElimination:
         assert calls == []
         gf2.solve_affine_with_pinning(*instance.codes[0], ())
         assert calls == [1]
+
+
+    @pytest.mark.parametrize("seed,rejections", [(3, 0), (12, 2), (28, 4)])
+    def test_generate_eliminates_each_draw_once(self, monkeypatch, seed, rejections):
+        # One elimination per rhs draw, refused or accepted; the instance
+        # keeps the accepted draw's oracle instead of eliminating it again.
+        calls = []
+        real = oracle_mod.affine_pivots
+
+        def counted(matrix, rhs):
+            calls.append(rhs)
+            return real(matrix, rhs)
+
+        monkeypatch.setattr(oracle_mod, "affine_pivots", counted)
+        instance = generate(21, 1.0, seed, override=(3, 7, [2, 4, 6]))
+        assert instance.rejections == rejections
+        assert len(calls) == instance.r + rejections
+        assert [(o.matrix, o.rhs) for o in instance._oracles] == list(instance.codes)
+        rebuilt = HardnessInstance.from_json(instance.to_json())
+        assert len(calls) == 2 * instance.r + rejections
+        assert rebuilt == instance and repr(rebuilt) == repr(instance)
+        assert [o._pivots for o in rebuilt._oracles] == [o._pivots for o in instance._oracles]
+        assert pickle.loads(pickle.dumps(instance)) == instance
 
 
 class TestOracleView:

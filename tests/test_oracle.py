@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from support import all_configs, dependent_affines, session_families
+from countsample import oracle as oracle_mod
 from countsample import rng
 from countsample.diagnostics import joint_table
 from countsample.families import (
@@ -647,6 +648,28 @@ class TestPinnedCounts:
         assert _answer(oracle.session().marginal, 0) == _answer(
             lambda t: oracle._marginal_probs(t, {}), 0
         )
+
+
+    def test_a_contradiction_stops_the_reduction(self, monkeypatch):
+        # x0 + x1 = 1 on 40 columns: the second pin below contradicts it,
+        # and none of the 38 pins after it may be reduced.
+        oracle = AffineCodeOracle(BitMatrix(40, (0b11,)), BitVector(1, 1))
+        rows = []
+        real = oracle_mod.reduce_row
+
+        def counted(pivots, row):
+            rows.append(row)
+            return real(pivots, row)
+
+        monkeypatch.setattr(oracle_mod, "reduce_row", counted)
+        contradictory = {0: 0, 1: 0, **{col: 1 for col in range(2, 40)}}
+        assert oracle._pinned_log2(contradictory) is None
+        assert rows == [0b10, 0b100]
+        assert oracle._log_probability(contradictory) == -math.inf
+        rows.clear()
+        consistent = {0: 1, 1: 0, **{col: 1 for col in range(2, 40)}}
+        assert oracle._pinned_log2(list(consistent.items())) == 0
+        assert len(rows) == 40
 
 
 def _approximate_reference(oracle: ApproximateOracle, target: int, pins: dict) -> np.ndarray:

@@ -117,10 +117,70 @@ def test_shuffle_matches_bounded_word_reference(seed, stream, counter, n):
 
 
 def test_permutation_matches_bounded_word_reference():
-    for seed in range(300):
-        for n in (0, 1, 2, 3, 8, 33):
+    # Below 64 the scalar shuffle runs; from 64 the one-pass draw does.
+    for n in (0, 1, 2, 3, 8, 33, 63, 64, 65, 256, 2048, 4097):
+        for seed in (range(300) if n <= 256 else range(10)):
             expected = _bounded_word_shuffle(seed, rng.PERMUTATION_STREAM, 0, n)
             assert rng.permutation(seed, n) == expected, (seed, n)
+        for seed in _EDGE_SEEDS:
+            expected = _bounded_word_shuffle(int(seed), rng.PERMUTATION_STREAM, 0, n)
+            assert rng.permutation(seed, n) == expected, (seed, n)
+
+
+def _forced_words(monkeypatch, forced: dict[int, int]):
+    """Make ``mix64_np`` return ``forced[k]`` at index ``k``, and count the
+    scalar shuffles run."""
+    real = rng.mix64_np
+    real_shuffle = rng._fisher_yates
+    scalar = []
+
+    def patched(z):
+        out = real(z)
+        for index, word in forced.items():
+            out[index] = word
+        return out
+
+    def counted(*args):
+        scalar.append(args)
+        return real_shuffle(*args)
+
+    monkeypatch.setattr(rng, "mix64_np", patched)
+    monkeypatch.setattr(rng, "_fisher_yates", counted)
+    return scalar
+
+
+@pytest.mark.parametrize("n", [64, 65, 256, 2048])
+def test_a_rejected_swap_word_reruns_the_scalar_shuffle(monkeypatch, n):
+    # The top word lies in the rejection zone of every bound that is not a
+    # power of two; word k swaps at i = n - 1 - k under bound n - k.
+    k = next(k for k in range(n - 1) if (n - k) & (n - k - 1))
+    expected = _bounded_word_shuffle(7, rng.PERMUTATION_STREAM, 0, n)
+    scalar = _forced_words(monkeypatch, {k: 2**64 - 1})
+    assert rng.permutation(7, n) == expected
+    assert scalar == [(7, rng.PERMUTATION_STREAM, 0, n)]
+
+
+@pytest.mark.parametrize("n", [64, 256, 2048])
+def test_a_power_of_two_bound_rejects_nothing(monkeypatch, n):
+    # Word 0 swaps at i = n - 1 under bound n, a power of two, whose limit
+    # 2**64 wraps to 0 in uint64: even the top word is taken.
+    words = [rng.word64(7, rng.PERMUTATION_STREAM, k) for k in range(n - 1)]
+    words[0] = 2**64 - 1
+    expected = list(range(n))
+    for i, word in zip(range(n - 1, 0, -1), words):
+        j = word % (i + 1)
+        expected[i], expected[j] = expected[j], expected[i]
+    scalar = _forced_words(monkeypatch, {0: words[0]})
+    assert rng.permutation(7, n) == expected
+    assert scalar == []
+
+
+@pytest.mark.parametrize("n", [64, 65, 256, 2048, 4097])
+def test_the_one_pass_draw_keeps_its_words(monkeypatch, n):
+    scalar = _forced_words(monkeypatch, {})
+    for seed in [*_EDGE_SEEDS, *range(20)]:
+        rng.permutation(seed, n)
+    assert scalar == []
 
 
 def test_mix64_np_raises_no_overflow_warning():

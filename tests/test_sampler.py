@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from support import dependent_affines, empirical_tv, session_families
 from countsample import rng
-from countsample.coupler import CouplerKind, couple_probs
+from countsample import sampler as sampler_mod
+from countsample.coupler import CouplerKind, Tape, couple_probs
 from countsample.diagnostics import joint_table
 from countsample.families import (
     grid,
@@ -755,6 +756,97 @@ class TestTailBehavior:
         median = float(np.median(rounds))
         exceed = np.mean([r > 3 * median for r in rounds])
         assert exceed <= 0.05
+
+
+class _CopiedSession(_RecordedSession):
+    """A recorded session whose every answer is a fresh copy."""
+
+    def marginal(self, target):
+        return self._inner.marginal(target).copy()
+
+
+class _CopyingOracle(_RecordingOracle):
+    """``inner``, with sessions whose answers are fresh copies: no verify
+    answer is the array its guess got, so every verify couples."""
+
+    def session(self, base=()):
+        self.sessions.append(_CopiedSession(self.inner.session(base), base))
+        return self.sessions[-1]
+
+
+@pytest.mark.parametrize("label,oracle", session_families())
+def test_a_reused_guess_equals_its_coupled_verify(label, oracle):
+    # A verify whose answer is its guess's own array takes the guess's
+    # symbol instead of coupling it again; copied answers turn that off.
+    for seed in range(3):
+        for kind in COUPLERS:
+            for perm in PERMS:
+                for mode, theta in (
+                    (Mode.SEQUENTIAL, None),
+                    (Mode.PARALLEL, None),
+                    (Mode.EFFICIENT, None),
+                    (Mode.EFFICIENT, 3),
+                ):
+                    config = SamplerConfig(
+                        seed=seed, coupler=kind, mode=mode, theta=theta, permutation=perm
+                    )
+                    sample, trace = run_sampler(oracle, config)
+                    copied, copied_trace = run_sampler(_CopyingOracle(oracle), config)
+                    assert copied == sample, (label, config)
+                    assert copied_trace.to_json_str() == trace.to_json_str(), (label, config)
+
+
+class _LoggedSession(_RecordedSession):
+    """A recorded session that logs each answer to ``events``."""
+
+    def __init__(self, inner, base, events) -> None:
+        super().__init__(inner, base)
+        self._events = events
+
+    def marginal(self, target):
+        probs = self._inner.marginal(target)
+        self._events.append(("marginal", target, probs))
+        return probs
+
+
+def test_efficient_markov_couples_only_changed_verify_answers(monkeypatch):
+    events = []
+
+    class SpyTape(Tape):
+        def couple(self, probs, stream):
+            events.append(("couple", stream, probs))
+            return super().couple(probs, stream)
+
+    class LoggingOracle(_RecordingOracle):
+        def session(self, base=()):
+            return _LoggedSession(self.inner.session(base), base, events)
+
+    oracle = sticky_markov(512, 2, seed=4)
+    config = SamplerConfig(seed=11, mode=Mode.EFFICIENT)
+    expected_run = run_sampler(oracle, config)
+    monkeypatch.setattr(sampler_mod, "Tape", SpyTape)
+    sample, trace = run_sampler(LoggingOracle(oracle), config)
+    assert (sample, trace) == expected_run
+    # Each round asks its w guesses, then its verifies in order; a verify
+    # couples exactly when its answer is not its guess's array.
+    answers = iter([probs for kind, _, probs in events if kind == "marginal"])
+    expected = []
+    reused = 0
+    for record in trace.per_round:
+        guessed = [next(answers) for _ in record.guessed]
+        expected += zip(record.guessed, guessed)
+        for i in range(record.first + 1, record.settled + 1):
+            probs = next(answers)
+            if probs is guessed[i - record.first]:
+                reused += 1
+            else:
+                expected.append((i, probs))
+    assert next(answers, None) is None
+    coupled = [(stream, probs) for kind, stream, probs in events if kind == "couple"]
+    assert [i for i, _ in coupled] == [i for i, _ in expected]
+    assert all(got is want for (_, got), (_, want) in zip(coupled, expected))
+    verifies = sum(record.settled - record.first for record in trace.per_round)
+    assert 0 < reused < verifies
 
 
 def test_run_sampler_dispatch():
