@@ -115,13 +115,15 @@ class Tape:
     A tape holds what one sample has drawn and lives as long as it.
     """
 
-    __slots__ = ("_kind", "_seed", "_q", "_streams", "_ahead")
+    __slots__ = ("_kind", "_seed", "_tag", "_q", "_streams", "_ahead")
 
     def __init__(self, kind: CouplerKind, seed: int, q: int, n: int = 0) -> None:
         if not isinstance(kind, CouplerKind):
             raise ValueError(f"unknown coupler kind: {kind!r}")
         self._kind = kind
         self._seed = seed
+        # The seed half of every stream key, mixed once per tape.
+        self._tag = rng.stream_tag(seed)
         self._q = q
         self._streams: dict = {}
         self._ahead = None
@@ -183,7 +185,7 @@ class Tape:
                 i = stream - 1
                 state = [ahead[0][i], ahead[1], ahead[2][i], ahead[3][i]]
             else:
-                state = [rng.stream_key(self._seed, stream), 0, [], []]
+                state = [rng.mix64(self._tag ^ int(stream)), 0, [], []]
             self._streams[stream] = state
         # Python floats compare exactly as the float64 entries do, and
         # index faster.
@@ -220,7 +222,7 @@ class Tape:
             if ahead is not None and 0 < stream <= len(ahead):
                 units = ahead[stream - 1]
             else:
-                key = rng.stream_key(self._seed, stream)
+                key = rng.mix64(self._tag ^ int(stream))
                 units = [rng.unit_float(rng.mix64(key ^ x)) for x in range(self._q)]
             # math.log on Python floats, not np.log, which need not match
             # libm to the last bit.

@@ -10,7 +10,8 @@ and the sampler modules consume the marginal form directly.
 
 Concrete families:
 
-* ``TableOracle``       -- explicit joint table, summation (ground truth).
+* ``TableOracle``       -- explicit joint table, summation (ground truth);
+                           a session indexes each pinned axis away once.
 * ``ProductOracle``     -- independent coordinates.
 * ``MarkovChainOracle`` -- exact chain conditionals via precomputed range
                            products: O(log|pins| + q^2 log n) per session
@@ -26,7 +27,8 @@ Concrete families:
                            reduction (the reference ``_marginal_probs``
                            takes two pinned solve counts).
 * ``ApproximateOracle`` -- deterministic multiplicative-noise wrapper
-                           around any inner oracle.
+                           around any inner oracle; a session reads its
+                           counts off a session of the inner oracle.
 
 ``GridMatchingOracle`` (separator-column marginals of uniform grid perfect
 matchings) lives in ``gridmatch`` and shares this module's base class.
@@ -35,13 +37,24 @@ The samplers query through conditioning sessions (:class:`PinningSession`):
 a pinning that grows one coordinate at a time, each pinned once, whose
 answers are bit-identical to ``_marginal_probs`` on the same pins in any
 pin order.  Families whose answer can reuse the previous pinning override
-``session``.  The Markov session memoizes the last answer per target,
-keyed by the target's nearest pinned neighbors and their symbols, so a
-question asked again under them is answered once; the memo lives and dies
-with one session, never on the oracle.  The affine session (and the
-hardness session, one affine session per block) copies the pivots of the
-base system, eliminated once at construction, and reduces each pin into
-them; a pinned count is read off such a session.
+``session``: table, Markov, affine, grid, hardness and approximate do;
+product and pair-copy run the default session, which hands its pins to
+``_marginal_probs`` on every query.  The table session keeps the view of
+the table left after indexing each pinned axis away.  The Markov session
+memoizes the last answer per target, keyed by the target's nearest pinned
+neighbors and their symbols, so a question asked again under them is
+answered once; the memo lives and dies with one session, never on the
+oracle.  The affine session (and the hardness session, one affine session
+per block) copies the pivots of the base system, eliminated once at
+construction, and reduces each pin into them; a pinned count is read off
+such a session.  The approximate session keeps its pins sorted for the
+hash and a session of its inner oracle for the counts.
+
+A session also answers the counting form of a query, ``_log_counts(target)``:
+the ``q`` values ``log P[pins, X_target = x]``, each equal to
+``_log_probability`` of the extended pinning.  The default asks
+``_log_probability`` once per symbol; the table session sums its own view,
+and the approximate session perturbs its inner session's counts.
 
 The public query ``conditional_marginal(target, pins)`` is a validating
 wrapper over the same session: it rejects malformed input, raises
@@ -135,6 +148,12 @@ class PinningSession:
     takes a repeated array object for a repeated answer.  Other inputs are
     trusted, as for ``_marginal_probs``, whose answer (and
     ``ZeroMeasurePinning``) this default session returns.
+
+    ``_log_counts(target)`` is the counting form of the same question: the
+    ``q`` values ``log P[pins, X_target = x]``, each equal to
+    ``_log_probability`` of the extended pinning (``-inf`` at zero
+    measure), which the default computes.  The approximate session reads
+    its inner oracle's counts through it.
     """
 
     __slots__ = ("_oracle", "_pins")
@@ -150,6 +169,15 @@ class PinningSession:
 
     def marginal(self, target: int) -> np.ndarray:
         return self._oracle._marginal_probs(target, self._pins)
+
+    def _log_counts(self, target: int) -> list[float]:
+        oracle = self._oracle
+        ext = dict(self._pins)
+        logs = []
+        for x in range(oracle.q):
+            ext[target] = x
+            logs.append(oracle._log_probability(ext))
+        return logs
 
 
 class ConditionalOracle(ABC):
@@ -212,7 +240,16 @@ class ConditionalOracle(ABC):
 
 
 class TableOracle(ConditionalOracle):
-    """Explicit joint distribution over ``[q]^n`` (row-major flat table)."""
+    """Explicit joint distribution over ``[q]^n`` (row-major flat table).
+
+    The reference ``_marginal_probs`` indexes the table with one slot per
+    coordinate on every call.  A session indexes each pinned axis away
+    once, as it is pinned, so its view is the reference's
+    ``table[indexer(pins)]`` (basic indexing composes: same shape, strides
+    and offset), and a query finds the target's axis by bisecting the free
+    coordinates.  Both finish in ``_table_marginal``, so their answers are
+    bit-identical.
+    """
 
     variant = "table"
 
@@ -231,18 +268,17 @@ class TableOracle(ConditionalOracle):
     def _indexer(self, pins: Mapping[int, int]) -> tuple:
         return tuple(pins.get(k, slice(None)) for k in range(self.n))
 
+    def session(
+        self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
+    ) -> "_TableSession":
+        return _TableSession(self, dict(base))
+
     def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
-        sub = self._table[self._indexer(pins)]
         axis = sum(1 for k in range(target) if k not in pins)
-        weights = np.moveaxis(sub, axis, 0).reshape(self.q, -1).sum(axis=1)
-        total = weights.sum()
-        if total <= 0.0:
-            raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
-        return weights / total
+        return _table_marginal(self._table[self._indexer(pins)], axis, pins)
 
     def _log_probability(self, pins: Mapping[int, int]) -> float:
-        p = float(self._table[self._indexer(pins)].sum())
-        return math.log(p) if p > 0.0 else -math.inf
+        return _log_sum(self._table[self._indexer(pins)])
 
     def to_json(self) -> dict:
         return {
@@ -251,6 +287,55 @@ class TableOracle(ConditionalOracle):
             "q": self.q,
             "probs": [float(v) for v in self._table.reshape(-1)],
         }
+
+
+def _table_marginal(sub: np.ndarray, axis: int, pins: Mapping[int, int]) -> np.ndarray:
+    """Marginal of free axis ``axis`` of the pinned table view ``sub``.
+    ``transpose`` builds the view ``np.moveaxis(sub, axis, 0)`` does, for
+    less Python."""
+    order = (axis, *range(axis), *range(axis + 1, sub.ndim))
+    weights = sub.transpose(order).reshape(sub.shape[axis], -1).sum(axis=1)
+    total = weights.sum()
+    if total <= 0.0:
+        raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
+    return weights / total
+
+
+def _log_sum(view: np.ndarray) -> float:
+    """log of the table mass in ``view``; ``-inf`` for none."""
+    p = float(view.sum())
+    return math.log(p) if p > 0.0 else -math.inf
+
+
+class _TableSession(PinningSession):
+    """Table session: the table view left after indexing each pinned axis
+    away, and the free coordinates in order (free axis ``k`` of the view
+    is coordinate ``_free[k]``)."""
+
+    __slots__ = ("_sub", "_free")
+
+    def __init__(self, oracle: TableOracle, pins: dict[int, int]) -> None:
+        super().__init__(oracle, {})
+        self._sub = oracle._table
+        self._free = list(range(oracle.n))
+        for coord, sym in pins.items():
+            self.pin(coord, sym)
+
+    def pin(self, coord: int, sym: int) -> None:
+        if coord in self._pins:
+            raise MalformedQuery(f"coordinate {coord} is already pinned")
+        self._pins[coord] = sym
+        axis = bisect_left(self._free, coord)
+        del self._free[axis]
+        self._sub = self._sub[(slice(None),) * axis + (sym,)]
+
+    def marginal(self, target: int) -> np.ndarray:
+        return _table_marginal(self._sub, bisect_left(self._free, target), self._pins)
+
+    def _log_counts(self, target: int) -> list[float]:
+        sub = self._sub
+        lead = (slice(None),) * bisect_left(self._free, target)
+        return [_log_sum(sub[lead + (x,)]) for x in range(self._oracle.q)]
 
 
 class ProductOracle(ConditionalOracle):
@@ -643,7 +728,14 @@ class ApproximateOracle(ConditionalOracle):
     (seed, pinning), so repeated identical queries agree.  Marginals are
     rebuilt from the perturbed counts of the q extended pinnings; a query
     folds the pins below its target once and shares that prefix of the
-    hash among them.
+    hash among them.  The seed half of the stream key is mixed once, in the
+    constructor.
+
+    The reference ``_marginal_probs`` asks the inner oracle for each
+    extended count from scratch.  A session keeps its pins sorted and an
+    inner session beside them, and reads the q counts off the inner
+    session's ``_log_counts``; both finish in ``_perturb`` and
+    ``_from_log_counts``, so their answers are bit-identical.
     """
 
     variant = "approximate"
@@ -659,6 +751,12 @@ class ApproximateOracle(ConditionalOracle):
         self.seed = int(seed)
         self.n = inner.n
         self.q = inner.q
+        self._tag = rng.stream_tag(self.seed)
+
+    def session(
+        self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
+    ) -> "_ApproximateSession":
+        return _ApproximateSession(self, dict(base))
 
     def _perturbed_log_count(self, pins: Mapping[int, int]) -> float:
         base = self.inner._log_probability(pins)
@@ -670,7 +768,7 @@ class ApproximateOracle(ConditionalOracle):
         """Finite ``base`` under the noise of the pinning hashed to ``key``:
         words 1 (the failure event) and 0 (the noise value) of the stream
         keyed by (seed, key)."""
-        stream = rng.stream_key(self.seed, key)
+        stream = rng.mix64(self._tag ^ key)
         if self.delta > 0.0 and rng.unit_float(rng.mix64(stream ^ 1)) < self.delta:
             return base + _LN2
         if self.epsilon == 0.0:
@@ -678,26 +776,23 @@ class ApproximateOracle(ConditionalOracle):
         u = 2.0 * rng.unit_float(rng.mix64(stream)) - 1.0
         return base + math.log1p(self.epsilon * u)
 
-    def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
-        # The extended pinning sorts as (pins below target, (target, x),
-        # pins above target), so the fold of the first part is shared.
-        items = sorted(pins.items())
+    def _perturb(self, logs: list[float], target: int, items: list) -> list[float]:
+        """Perturb, in place, the inner log counts ``logs[x]`` of the sorted
+        pins ``items`` extended by ``(target, x)``.  The extended pinning
+        sorts as (pins below target, (target, x), pins above target), so
+        the fold of the first part is shared."""
         cut = bisect_left(items, (target,))
         below = _fold(items[:cut])
         above = items[cut:]
-        ext = dict(pins)
-        logs = np.empty(self.q)
-        for x in range(self.q):
-            ext[target] = x
-            base = self.inner._log_probability(ext)
+        for x, base in enumerate(logs):
             if base != -math.inf:
-                base = self._perturbed(base, _fold(above, _fold(((target, x),), below)))
-            logs[x] = base
-        top = logs.max()
-        if top == -math.inf:
-            raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
-        weights = np.exp(logs - top)
-        return weights / weights.sum()
+                logs[x] = self._perturbed(base, _fold(above, _fold(((target, x),), below)))
+        return logs
+
+    def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
+        # The default session's counts: one inner ``_log_probability`` each.
+        logs = PinningSession(self.inner, dict(pins))._log_counts(target)
+        return _from_log_counts(self._perturb(logs, target, sorted(pins.items())), pins)
 
     def _log_probability(self, pins: Mapping[int, int]) -> float:
         return self._perturbed_log_count(pins)
@@ -710,6 +805,44 @@ class ApproximateOracle(ConditionalOracle):
             "delta": self.delta,
             "seed": self.seed,
         }
+
+
+def _from_log_counts(logs: list[float], pins: Mapping[int, int]) -> np.ndarray:
+    """The marginal whose unnormalized log weights are ``logs``."""
+    logs = np.array(logs)
+    top = logs.max()
+    if top == -math.inf:
+        raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
+    weights = np.exp(logs - top)
+    return weights / weights.sum()
+
+
+class _ApproximateSession(PinningSession):
+    """Approximate session: the pins as sorted ``(coordinate, symbol)``
+    items, for the fold, and a session of the inner oracle holding the same
+    pins, for the counts."""
+
+    __slots__ = ("_items", "_inner")
+
+    def __init__(self, oracle: ApproximateOracle, pins: dict[int, int]) -> None:
+        super().__init__(oracle, {})
+        self._items: list[tuple[int, int]] = []
+        self._inner = oracle.inner.session()
+        for coord, sym in pins.items():
+            self.pin(coord, sym)
+
+    def pin(self, coord: int, sym: int) -> None:
+        if coord in self._pins:
+            raise MalformedQuery(f"coordinate {coord} is already pinned")
+        self._pins[coord] = sym
+        insort(self._items, (coord, sym))
+        self._inner.pin(coord, sym)
+
+    def marginal(self, target: int) -> np.ndarray:
+        return _from_log_counts(self._log_counts(target), self._pins)
+
+    def _log_counts(self, target: int) -> list[float]:
+        return self._oracle._perturb(self._inner._log_counts(target), target, self._items)
 
 
 def _fold(items, acc: int = 0x5B5AD4DD4EE5DD1B) -> int:

@@ -34,19 +34,26 @@ def mix64(z: int) -> int:
     return z ^ (z >> 33)
 
 
+def stream_tag(seed: int) -> int:
+    """The seed half of every (seed, stream) key:
+    ``stream_key(seed, stream) == mix64(stream_tag(seed) ^ stream)``, so a
+    caller keying many streams under one seed mixes the seed once."""
+    return mix64((int(seed) & _MASK) ^ _SEED_TAG) ^ _STREAM_TAG
+
+
 def stream_key(seed: int, stream: int) -> int:
     """The 64-bit key of the (seed, stream) word stream.
 
     Word ``counter`` of the stream is ``mix64(key ^ counter)``; callers that
-    draw many words from one tape compute the key once.
+    draw many words from one tape compute the key once.  A numpy integer
+    seed or stream is taken as the Python int of its value.
     """
-    z = mix64((seed & _MASK) ^ _SEED_TAG)
-    return mix64(z ^ (stream & _MASK) ^ _STREAM_TAG)
+    return mix64(stream_tag(seed) ^ (int(stream) & _MASK))
 
 
 def word64(seed: int, stream: int, counter: int) -> int:
     """The ``counter``-th 64-bit word of the stream keyed by (seed, stream)."""
-    return mix64(stream_key(seed, stream) ^ (counter & _MASK))
+    return mix64(stream_key(seed, stream) ^ (int(counter) & _MASK))
 
 
 def unit_float(word: int) -> float:
@@ -131,8 +138,7 @@ def mix64_np(z: np.ndarray) -> np.ndarray:
 def stream_keys_np(seed: int, streams) -> np.ndarray:
     """Vectorized :func:`stream_key` over an integer array of streams
     under one seed (streams wrap to 64 bits as ``stream & _MASK`` does)."""
-    tag = mix64((seed & _MASK) ^ _SEED_TAG) ^ _STREAM_TAG
-    return mix64_np(np.asarray(streams).astype(np.uint64) ^ np.uint64(tag))
+    return mix64_np(np.asarray(streams).astype(np.uint64) ^ np.uint64(stream_tag(seed)))
 
 
 def word64_np(seeds, stream: int, counters) -> np.ndarray:
@@ -152,7 +158,7 @@ def unit_float_np(words: np.ndarray) -> np.ndarray:
 
 def _words(seed: int, stream: int, count: int) -> np.ndarray:
     """Words ``0..count-1`` of the (seed, stream) stream, its key taken once."""
-    return mix64_np(np.arange(count, dtype=np.uint64) ^ np.uint64(stream_key(int(seed), stream)))
+    return mix64_np(np.arange(count, dtype=np.uint64) ^ np.uint64(stream_key(seed, stream)))
 
 
 def derive_seeds(seed: int, count: int) -> np.ndarray:

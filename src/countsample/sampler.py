@@ -43,6 +43,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from . import rng
 from .coupler import CouplerKind, Tape, couple_probs
 from .oracle import ConditionalOracle, OracleError, ZeroMeasurePinning
@@ -81,7 +83,11 @@ class PermutationMode(enum.Enum):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Everything that pins down a sampler run bit-for-bit."""
+    """Everything that pins down a sampler run bit-for-bit.
+
+    ``seed`` is an integer (``bool`` refused); a numpy integer is stored as
+    the Python int of its value, so it runs as the equal int seed.
+    """
 
     seed: int
     coupler: CouplerKind = CouplerKind.MIN_COUPLER
@@ -90,6 +96,11 @@ class SamplerConfig:
     permutation: PermutationMode = PermutationMode.RANDOM
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise TypeError(f"seed must be an integer, not {self.seed!r}")
+        if not isinstance(self.seed, int):
+            # A numpy integer seed is kept as the Python int of its value.
+            object.__setattr__(self, "seed", int(self.seed))
         for name, kind in (
             ("coupler", CouplerKind),
             ("mode", Mode),

@@ -32,6 +32,7 @@ from countsample.oracle import (
     approximate_wrap,
     oracle_from_json,
 )
+from countsample.sampler import Mode, SamplerConfig, run_sampler
 
 RTOL = 1e-9
 
@@ -489,6 +490,30 @@ class TestSessions:
         with pytest.raises(ZeroMeasurePinning):
             oracle.session(pins).marginal(0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_log_counts_are_the_extended_log_probabilities(self, data):
+        # Each of the q counts, asked before and after every pin and from a
+        # session built on the pins, is ``_log_probability`` of the pins
+        # extended by the target's symbol, to the bit (-inf at zero measure).
+        label, oracle = data.draw(st.sampled_from(SESSION_FAMILIES))
+        pairs, free = _draw_pins(data, oracle)
+        session = oracle.session()
+        pins: dict[int, int] = {}
+
+        def check(s, target):
+            expected = [oracle._log_probability({**pins, target: x}).hex() for x in range(oracle.q)]
+            assert [v.hex() for v in s._log_counts(target)] == expected, label
+
+        for coord, sym in pairs:
+            check(session, data.draw(st.sampled_from(free)))
+            session.pin(coord, sym)
+            pins[coord] = sym
+        from_base = oracle.session(reversed(pairs))
+        for target in free:
+            check(session, target)
+            check(from_base, target)
+
 
 def _affine_oracle(data, min_rows: int = 0):
     """``random_affine(n, m)`` for n up to 64 and m in [min_rows, n] (the
@@ -725,13 +750,100 @@ class TestApproximateFold:
         )
         pairs, free = _draw_pins(data, oracle)
         pins = dict(pairs)
+        # A session pinned in the drawn order, whose inner session (table or
+        # affine) supplies the counts.
+        session = oracle.session()
+        for coord, sym in pairs:
+            session.pin(coord, sym)
         for target in free:
-            assert _answer(lambda t: oracle._marginal_probs(t, pins), target) == _answer(
-                lambda t: _approximate_reference(oracle, t, pins), target
-            )
+            expected = _answer(lambda t: _approximate_reference(oracle, t, pins), target)
+            assert _answer(lambda t: oracle._marginal_probs(t, pins), target) == expected
+            assert _answer(session.marginal, target) == expected
+            counts = session._log_counts(target)
             for x in range(oracle.q):
                 ext = {**pins, target: x}
                 assert oracle._log_probability(ext) == _perturbed_from_words(oracle, ext)
+                assert counts[x].hex() == _perturbed_from_words(oracle, ext).hex()
+
+
+def _moveaxis_marginal(table: np.ndarray, target: int, pins: dict) -> np.ndarray:
+    """The table marginal as computed before sessions: index every axis,
+    move the target's axis to the front, sum the rest."""
+    sub = table[tuple(pins.get(k, slice(None)) for k in range(table.ndim))]
+    axis = sum(1 for k in range(target) if k not in pins)
+    weights = np.moveaxis(sub, axis, 0).reshape(table.shape[0], -1).sum(axis=1)
+    total = weights.sum()
+    if total <= 0.0:
+        raise ZeroMeasurePinning("reference")
+    return weights / total
+
+
+def _view_layout(view: np.ndarray) -> tuple:
+    return view.shape, view.strides, view.__array_interface__["data"][0]
+
+
+class TestTableSession:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_path_equals_the_moveaxis_formula(self, data):
+        n, q = data.draw(st.sampled_from([(1, 3), (2, 2), (4, 2), (6, 3), (3, 4), (8, 2)]))
+        if data.draw(st.booleans(), label="sparse"):
+            weights = np.array(
+                data.draw(st.lists(st.integers(0, 1), min_size=q**n, max_size=q**n)), dtype=np.float64
+            )
+            weights[-1] += weights.sum() == 0
+            oracle = TableOracle(n, q, weights / weights.sum())
+        else:
+            oracle = random_table(n, q, data.draw(st.integers(0, 999)))
+        table = oracle._table
+        pairs, free = _draw_pins(data, oracle)
+        session = oracle.session()
+        pins: dict[int, int] = {}
+
+        def check():
+            # The session's view is the reference's ``table[indexer(pins)]``.
+            assert _view_layout(session._sub) == _view_layout(table[oracle._indexer(pins)])
+            for target in free:
+                expected = _answer(lambda t: _moveaxis_marginal(table, t, pins), target)
+                assert _answer(session.marginal, target) == expected
+                assert _answer(lambda t: oracle._marginal_probs(t, pins), target) == expected
+
+        for coord, sym in pairs:
+            check()
+            session.pin(coord, sym)
+            pins[coord] = sym
+        check()
+
+
+class TestSamplersUseTheSessions:
+    @pytest.mark.parametrize("label", ["table", "approximate"])
+    def test_no_sample_reaches_a_reference(self, monkeypatch, label):
+        # The reference paths rebuild the pinning on every call; a sample
+        # must run on the sessions alone.
+        oracle = dict(SESSION_FAMILIES)[label]
+        expected = {
+            (seed, mode): run_sampler(oracle, SamplerConfig(seed=seed, mode=mode))
+            for seed in range(20)
+            for mode in (Mode.SEQUENTIAL, Mode.EFFICIENT)
+        }
+        calls = []
+
+        def spy(cls, name):
+            real = getattr(cls, name)
+
+            def recorded(self, *args):
+                calls.append(name)
+                return real(self, *args)
+
+            monkeypatch.setattr(cls, name, recorded)
+
+        spy(TableOracle, "_indexer")
+        spy(TableOracle, "_log_probability")
+        spy(ApproximateOracle, "_marginal_probs")
+        spy(ApproximateOracle, "_log_probability")
+        for (seed, mode), result in expected.items():
+            assert run_sampler(oracle, SamplerConfig(seed=seed, mode=mode)) == result
+        assert calls == []
 
 
 # Non-integer and bool inputs, as a target, a pinned coordinate or a symbol.

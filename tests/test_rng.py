@@ -80,6 +80,8 @@ def test_derive_seeds_distinct():
 def test_stream_key_hoist_matches_word64(seed, stream, counter):
     word = rng.mix64(rng.stream_key(seed, stream) ^ counter)
     assert word == rng.word64(seed, stream, counter)
+    # A negative stream needs no mask: ``mix64`` masks its input.
+    assert rng.mix64(rng.stream_tag(seed) ^ stream) == rng.stream_key(seed, stream)
     # The vectorized path derives the key on its own.
     assert word == int(rng.word64_np(np.uint64(seed), stream, np.uint64(counter)))
 

@@ -453,6 +453,48 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             SamplerConfig(seed=3, theta=0)
 
+    @pytest.mark.parametrize("seed", [2.0, 2.5, "3", None, True, False, np.float64(3.0), np.True_])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(TypeError, match="seed"):
+            SamplerConfig(seed=seed)
+
+    def test_numpy_seed_is_stored_as_int(self):
+        config = SamplerConfig(seed=np.uint64(2**64 - 1))
+        assert type(config.seed) is int and config.seed == 2**64 - 1
+
+
+# Numpy integer seeds next to the equal Python ints.
+NUMPY_SEEDS = [np.uint64(2**64 - 1), np.uint64(5), np.uint64(2**63 + 5), np.int64(-3), np.uint8(200)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", NUMPY_SEEDS, ids=repr)
+def test_numpy_seeds_draw_as_their_int(seed):
+    # Every draw keys its streams with ``int(seed)``: no numpy scalar
+    # arithmetic, so no overflow warning, and the same words.
+    value = int(seed)
+    for n in (1, 8, 63, 64, 100):
+        assert rng.permutation(seed, n) == rng.permutation(value, n)
+    for stream in (1, 3, -1, 2**64 - 1):
+        assert rng.stream_key(seed, stream) == rng.stream_key(value, stream)
+        assert rng.stream_key(seed, np.uint64(stream % 2**64)) == rng.stream_key(value, stream)
+        counter = np.uint64(2**64 - 1 - stream % 2**64)
+        assert rng.word64(seed, stream, counter) == rng.word64(value, stream, int(counter))
+        assert rng.bounded_word(seed, stream, counter, 3) == rng.bounded_word(value, stream, int(counter), 3)
+    for kind in COUPLERS:
+        for probs in (np.array([0.5, 0.5]), np.array([0.1, 0.0, 0.6, 0.3])):
+            for stream in (1, 2, 40):
+                assert couple_probs(kind, probs, seed, stream) == couple_probs(kind, probs, value, stream)
+        tape, reference = Tape(kind, seed, 2, 40), Tape(kind, value, 2, 40)
+        for stream in range(1, 45):
+            probs = np.array([0.3, 0.7])
+            assert tape.couple(probs, stream) == reference.couple(probs, stream)
+    oracle = sticky_markov(12, 2, seed=3)
+    for mode in Mode:
+        assert run_sampler(oracle, SamplerConfig(seed=seed, mode=mode)) == run_sampler(
+            oracle, SamplerConfig(seed=value, mode=mode)
+        )
+
 
 def test_round_record_reads_off_its_window():
     record = RoundRecord(3, 6, 5)
