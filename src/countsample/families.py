@@ -44,6 +44,8 @@ def random_product(n: int, q: int, seed: int) -> ProductOracle:
 def sticky_markov(n: int, q: int, seed: int, stickiness: float = 0.5) -> MarkovChainOracle:
     """Random chain with a self-transition floor, so neighboring
     coordinates stay strongly correlated."""
+    if n < 1 or q < 1:
+        raise ValueError("n and q must be positive")
     if not 0.0 <= stickiness < 1.0:
         raise ValueError("stickiness must lie in [0, 1)")
     init = rng.uniform_array(seed, _MARKOV_INIT_STREAM, q) + 1e-3

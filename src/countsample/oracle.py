@@ -47,8 +47,15 @@ answered once; the memo lives and dies with one session, never on the
 oracle.  The affine session (and the hardness session, one affine session
 per block) copies the pivots of the base system, eliminated once at
 construction, and reduces each pin into them; a pinned count is read off
-such a session.  The approximate session keeps its pins sorted for the
-hash and a session of its inner oracle for the counts.
+such a session.  The approximate session keeps its pins sorted, the hash
+of each sorted prefix its queries have reached, and a session of its inner
+oracle for the counts.
+
+A session answers a round of questions in one call, ``marginals(targets)``,
+with the bytes ``marginal`` gives each target.  Every session but the
+Markov one loops over ``marginal``; the Markov session takes each memo
+miss's range products one target at a time and stacks only the
+elementwise tail (multiply, row sums, divide) into one array.
 
 A session also answers the counting form of a query, ``_log_counts(target)``:
 the ``q`` values ``log P[pins, X_target = x]``, each equal to
@@ -149,6 +156,13 @@ class PinningSession:
     trusted, as for ``_marginal_probs``, whose answer (and
     ``ZeroMeasurePinning``) this default session returns.
 
+    ``marginals(targets)`` asks a round's questions in one call: one answer
+    per target, in order, each with the bytes ``marginal`` gives in the same
+    state, and ``ZeroMeasurePinning`` (with ``marginal``'s message) when any
+    of them has zero measure.  Answers may be rows of one shared array,
+    which is never written either.  The default loops over ``marginal``;
+    the Markov session stacks the arithmetic its memo misses need.
+
     ``_log_counts(target)`` is the counting form of the same question: the
     ``q`` values ``log P[pins, X_target = x]``, each equal to
     ``_log_probability`` of the extended pinning (``-inf`` at zero
@@ -169,6 +183,11 @@ class PinningSession:
 
     def marginal(self, target: int) -> np.ndarray:
         return self._oracle._marginal_probs(target, self._pins)
+
+    def marginals(self, targets: list[int]) -> list[np.ndarray]:
+        if len(targets) == 1:
+            return [self.marginal(targets[0])]
+        return [self.marginal(target) for target in targets]
 
     def _log_counts(self, target: int) -> list[float]:
         oracle = self._oracle
@@ -382,10 +401,13 @@ class MarkovChainOracle(ConditionalOracle):
     insertion order.  A session keeps its pinned coordinates sorted and
     finds the neighbors by bisection, O(log|pins| + q^2 log n) per query;
     the reference ``_marginal_probs`` scans every pin, O(|pins| + q^2 log n).
-    Both finish in ``_marginal_from``, so their answers are bit-identical.
-    A session keeps a memo (target -> neighbors and the answer), so a
-    repeated question costs one bisection and one lookup, and returns the
-    same array object.
+    Both take the two factors of the weights from ``_factors`` and finish
+    in ``_marginal_from``, so their answers are bit-identical.  A session
+    keeps a memo (target -> neighbors and the answer), so a repeated
+    question costs one bisection and one lookup, and returns the same array
+    object; its ``marginals`` normalizes the factors of all the targets the
+    memo misses as one stacked array, row for row the bytes of
+    ``_marginal_from``.
     """
 
     variant = "markov"
@@ -407,6 +429,7 @@ class MarkovChainOracle(ConditionalOracle):
         trans = _normalized(trans, "transition row")
         self._initial = init
         self._transitions = trans
+        self._ones = _read_only(np.ones(self.q))
 
         pi = np.empty((self.n, self.q))
         pi[0] = init
@@ -425,18 +448,21 @@ class MarkovChainOracle(ConditionalOracle):
         self._lift = lift
 
     def _range_product(self, i: int, j: int) -> np.ndarray:
-        """Product of transition matrices covering coordinates i..j."""
-        i, j = int(i), int(j)
-        length = j - i
-        result = None
-        pos = i
+        """Product of transition matrices covering coordinates i..j, i < j."""
+        i = int(i)
+        length = int(j) - i
+        lift = self._lift
         # One lift block per set bit of the length, highest first: a
-        # power-of-two gap is its block, with no product.
+        # power-of-two gap is its block, with no product.  ``ndarray.dot``
+        # makes the BLAS call ``@`` makes on these 2-D blocks, with less
+        # dispatch.
+        k = length.bit_length() - 1
+        result = lift[k][i]
+        length ^= 1 << k
         while length:
+            i += 1 << k
             k = length.bit_length() - 1
-            block = self._lift[k][pos]
-            result = block if result is None else result @ block
-            pos += 1 << k
+            result = result.dot(lift[k][i])
             length ^= 1 << k
         return result
 
@@ -461,18 +487,28 @@ class MarkovChainOracle(ConditionalOracle):
         left, right = self._neighbors(target, pins)
         return self._marginal_from(target, left, right, pins)
 
-    def _marginal_from(
+    def _factors(
         self, target: int, left: int | None, right: int | None, pins: Mapping[int, int]
-    ) -> np.ndarray:
-        """Marginal of ``target`` given its nearest pinned neighbors."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The two factors of ``target``'s weights given its nearest pinned
+        neighbors: the row of the range product from ``left`` (the prior
+        without one) and the column of the range product to ``right``
+        (ones without one, and ``x * 1.0`` is exactly ``x``)."""
         if left is None:
             base = self._pi[target]
         else:
             base = self._range_product(left, target)[pins[left]]
         if right is None:
-            weights = base
-        else:
-            weights = base * self._range_product(target, right)[:, pins[right]]
+            return base, self._ones
+        return base, self._range_product(target, right)[:, pins[right]]
+
+    def _marginal_from(
+        self, target: int, left: int | None, right: int | None, pins: Mapping[int, int]
+    ) -> np.ndarray:
+        """Marginal of ``target`` given its nearest pinned neighbors."""
+        base, col = self._factors(target, left, right, pins)
+        # Without a right neighbor ``col`` is ones, and ``base * 1.0`` is ``base``.
+        weights = base if right is None else base * col
         # ``ndarray.sum`` is this reduction, less a layer of Python calls.
         total = np.add.reduce(weights)
         if total <= 0.0:
@@ -516,6 +552,13 @@ class _MarkovSession(PinningSession):
     that same array object again.  Zero-measure answers raise and are not
     stored.  The memo holds at most ``n`` entries and dies with the
     session.
+
+    ``marginals`` probes the memo as ``marginal`` does (``_probe``).  It
+    stacks the factors of the targets it misses (a ones column for a
+    target with no right neighbor), multiplies, sums each row and divides
+    in one numpy call each, and memoizes each row of the result: a later
+    ``marginal`` of the same question returns that row object.  A single
+    target goes to ``marginal``.
     """
 
     __slots__ = ("_keys", "_memo")
@@ -532,7 +575,9 @@ class _MarkovSession(PinningSession):
         self._pins[coord] = sym
         insort(self._keys, coord)
 
-    def marginal(self, target: int) -> np.ndarray:
+    def _probe(self, target: int) -> tuple[int | None, int | None, np.ndarray | None]:
+        """``target``'s nearest pinned neighbors, and its memoized answer
+        when it was computed for those two (else None)."""
         keys = self._keys
         lo = bisect_left(keys, target)
         hi = lo + 1 if lo < len(keys) and keys[lo] == target else lo
@@ -540,10 +585,42 @@ class _MarkovSession(PinningSession):
         right = keys[hi] if hi < len(keys) else None
         hit = self._memo.get(target)
         if hit is not None and hit[0] == left and hit[1] == right:
-            return hit[2]
-        probs = self._oracle._marginal_from(target, left, right, self._pins)
-        self._memo[target] = (left, right, probs)
+            return hit
+        return left, right, None
+
+    def marginal(self, target: int) -> np.ndarray:
+        left, right, probs = self._probe(target)
+        if probs is None:
+            probs = self._oracle._marginal_from(target, left, right, self._pins)
+            self._memo[target] = (left, right, probs)
         return probs
+
+    def marginals(self, targets: list[int]) -> list[np.ndarray]:
+        if len(targets) == 1:
+            return [self.marginal(targets[0])]
+        missed = {}
+        for target in targets:
+            left, right, probs = self._probe(target)
+            if probs is None:
+                missed[target] = (left, right)
+        memo = self._memo
+        if missed:
+            # Each miss takes the 2-D range products ``marginal`` takes; only
+            # the elementwise tail is stacked.  A row-wise ``np.add.reduce``
+            # of a C-contiguous (m, q) array sums each row as the 1-D reduce
+            # does, so every row has ``marginal``'s bytes.
+            factors = self._oracle._factors
+            pins = self._pins
+            bases, cols = zip(*[factors(t, *neighbors, pins) for t, neighbors in missed.items()])
+            weights = np.array(bases) * np.array(cols)
+            totals = np.add.reduce(weights, axis=1)
+            # Python floats compare as the float64s do, with less dispatch.
+            if min(totals.tolist()) <= 0.0:
+                raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
+            rows = weights / totals[:, None]
+            for (target, (left, right)), row in zip(missed.items(), rows):
+                memo[target] = (left, right, row)
+        return [memo[target][2] for target in targets]
 
 
 class PairCopyOracle(ConditionalOracle):
@@ -726,14 +803,14 @@ class ApproximateOracle(ConditionalOracle):
 
     Both the noise value and the failure event are derived from a hash of
     (seed, pinning), so repeated identical queries agree.  Marginals are
-    rebuilt from the perturbed counts of the q extended pinnings; a query
-    folds the pins below its target once and shares that prefix of the
-    hash among them.  The seed half of the stream key is mixed once, in the
-    constructor.
+    rebuilt from the perturbed counts of the q extended pinnings, which
+    share the hash of the pins below the target.  The seed half of the
+    stream key is mixed once, in the constructor.
 
     The reference ``_marginal_probs`` asks the inner oracle for each
-    extended count from scratch.  A session keeps its pins sorted and an
-    inner session beside them, and reads the q counts off the inner
+    extended count, and folds the pins below the target, from scratch.  A
+    session keeps its pins sorted, the folds of their sorted prefixes, and
+    an inner session beside them, and reads the q counts off the inner
     session's ``_log_counts``; both finish in ``_perturb`` and
     ``_from_log_counts``, so their answers are bit-identical.
     """
@@ -776,23 +853,24 @@ class ApproximateOracle(ConditionalOracle):
         u = 2.0 * rng.unit_float(rng.mix64(stream)) - 1.0
         return base + math.log1p(self.epsilon * u)
 
-    def _perturb(self, logs: list[float], target: int, items: list) -> list[float]:
-        """Perturb, in place, the inner log counts ``logs[x]`` of the sorted
-        pins ``items`` extended by ``(target, x)``.  The extended pinning
-        sorts as (pins below target, (target, x), pins above target), so
-        the fold of the first part is shared."""
-        cut = bisect_left(items, (target,))
-        below = _fold(items[:cut])
-        above = items[cut:]
+    def _perturb(self, logs: list[float], target: int, below: int, above: list) -> list[float]:
+        """Perturb, in place, the inner log counts ``logs[x]`` of the pins
+        extended by ``(target, x)``.  The extended pinning sorts as (pins
+        below target, (target, x), pins above target), so the first part is
+        shared: ``below`` is its fold, and ``above`` the sorted pins above
+        the target."""
         for x, base in enumerate(logs):
             if base != -math.inf:
                 logs[x] = self._perturbed(base, _fold(above, _fold(((target, x),), below)))
         return logs
 
     def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
-        # The default session's counts: one inner ``_log_probability`` each.
+        # The default session's counts: one inner ``_log_probability`` each,
+        # and the pins below the target folded from scratch.
         logs = PinningSession(self.inner, dict(pins))._log_counts(target)
-        return _from_log_counts(self._perturb(logs, target, sorted(pins.items())), pins)
+        items = sorted(pins.items())
+        cut = bisect_left(items, (target,))
+        return _from_log_counts(self._perturb(logs, target, _fold(items[:cut]), items[cut:]), pins)
 
     def _log_probability(self, pins: Mapping[int, int]) -> float:
         return self._perturbed_log_count(pins)
@@ -820,13 +898,19 @@ def _from_log_counts(logs: list[float], pins: Mapping[int, int]) -> np.ndarray:
 class _ApproximateSession(PinningSession):
     """Approximate session: the pins as sorted ``(coordinate, symbol)``
     items, for the fold, and a session of the inner oracle holding the same
-    pins, for the counts."""
+    pins, for the counts.
 
-    __slots__ = ("_items", "_inner")
+    ``_folds[k]`` is ``_fold(_items[:k])``, kept for the prefixes the
+    queries have reached: a query extends it up to its target's place, and
+    a pin inserted at sorted index ``p`` drops the folds past ``p``.
+    """
+
+    __slots__ = ("_items", "_folds", "_inner")
 
     def __init__(self, oracle: ApproximateOracle, pins: dict[int, int]) -> None:
         super().__init__(oracle, {})
         self._items: list[tuple[int, int]] = []
+        self._folds = [_fold(())]
         self._inner = oracle.inner.session()
         for coord, sym in pins.items():
             self.pin(coord, sym)
@@ -835,14 +919,22 @@ class _ApproximateSession(PinningSession):
         if coord in self._pins:
             raise MalformedQuery(f"coordinate {coord} is already pinned")
         self._pins[coord] = sym
-        insort(self._items, (coord, sym))
+        at = bisect_left(self._items, (coord,))
+        self._items.insert(at, (coord, sym))
+        del self._folds[at + 1 :]
         self._inner.pin(coord, sym)
 
     def marginal(self, target: int) -> np.ndarray:
         return _from_log_counts(self._log_counts(target), self._pins)
 
     def _log_counts(self, target: int) -> list[float]:
-        return self._oracle._perturb(self._inner._log_counts(target), target, self._items)
+        items = self._items
+        folds = self._folds
+        cut = bisect_left(items, (target,))
+        for k in range(len(folds) - 1, cut):
+            folds.append(_fold((items[k],), folds[k]))
+        logs = self._inner._log_counts(target)
+        return self._oracle._perturb(logs, target, folds[cut], items[cut:])
 
 
 def _fold(items, acc: int = 0x5B5AD4DD4EE5DD1B) -> int:

@@ -21,7 +21,11 @@ read off them, and ``RoundRecord.batch_size`` is the one statement of the
 modelled query count.  Sequential mode is ``n`` rounds of one query.
 
 Every query goes through one conditioning session per sample
-(``oracle.session()``), which holds the settled pinning.  A verify pass
+(``oracle.session()``), which holds the settled pinning.  A round's
+guesses are one session call, ``marginals`` over the window's
+coordinates, so a session can answer the round's questions together
+(the Markov session stacks the arithmetic of those its memo misses); the
+answers are the bytes one ``marginal`` per guess would give.  A verify pass
 stops at its first mismatch, since the verifies after it cannot change
 the sample, so every symbol it reaches is final: it pins each one into
 the session as it goes, and each coordinate is pinned once.  Every
@@ -269,7 +273,8 @@ def _window_sample(
 
     Each round takes the window of the ``theta`` positions after the
     settled prefix (fewer at the end).  It guesses every window position
-    from the settled pinning, then verifies each guess against the guesses
+    from the settled pinning, asking the session for all of them in one
+    ``marginals`` call, then verifies each guess against the guesses
     before it, with the same tape.  The settled prefix advances to the
     first mismatch, taking its verified symbol, or to the window end when
     every guess verifies.
@@ -301,7 +306,7 @@ def _window_sample(
         end = a + theta
         if end > n:
             end = n
-        asked = [settled.marginal(perm[i - 1]) for i in range(a + 1, end + 1)]
+        asked = settled.marginals(perm[a:end])
         guesses = [couple(probs, i) for i, probs in enumerate(asked, a + 1)]
         coord = perm[a]
         values[coord] = guesses[0]

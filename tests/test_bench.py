@@ -11,7 +11,7 @@ from countsample.bench import (
     rows_to_csv,
     run_bench,
 )
-from countsample.families import build_builtin
+from countsample.families import build_builtin, sticky_markov
 from countsample.oracle import MarkovChainOracle, PairCopyOracle
 
 
@@ -39,6 +39,12 @@ class TestFamilies:
             build_builtin("builtin:product")
         with pytest.raises(ValueError):
             build_builtin("oracle:product:n=3")
+
+    @pytest.mark.parametrize("n,q", [(0, 2), (-5, 2), (8, -3), (8, 0)])
+    def test_sticky_markov_refuses_non_positive_sizes(self, n, q):
+        # A reshape to (n - 1, q, q) once read n = 0 as "infer this axis".
+        with pytest.raises(ValueError, match="n and q must be positive"):
+            sticky_markov(n, q, 1)
 
     def test_bench_families(self):
         assert isinstance(build_family_instance("markov", 16, 2, 1), MarkovChainOracle)

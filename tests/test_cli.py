@@ -99,6 +99,14 @@ class TestSampleCommand:
     def test_unknown_builtin_is_oracle_error(self):
         assert main(["sample", "--oracle", "builtin:nope:n=3"]) == EXIT_ORACLE
 
+    @pytest.mark.parametrize("params", ["n=0,q=2", "n=-5,q=2", "n=8,q=-3", "n=8,q=0"])
+    def test_empty_chain_is_oracle_error(self, params, tmp_path, capsys):
+        out = tmp_path / "sample.json"
+        rc = main(["sample", "--oracle", f"builtin:markov:{params}", "--out", str(out)])
+        assert rc == EXIT_ORACLE
+        assert "n and q must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_file_roundtrip(self, tmp_path):
         from countsample.families import random_table
 

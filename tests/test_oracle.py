@@ -515,6 +515,135 @@ class TestSessions:
             check(from_base, target)
 
 
+def _asked(ask, targets):
+    """``ask(targets)``, or the message of its ``ZeroMeasurePinning``."""
+    try:
+        return ask(targets)
+    except ZeroMeasurePinning as exc:
+        return str(exc)
+
+
+def _matmul_range_product(oracle: MarkovChainOracle, i: int, j: int) -> np.ndarray:
+    """The lift blocks covering i..j, highest first, multiplied with ``@``."""
+    result, length = None, j - i
+    while length:
+        k = length.bit_length() - 1
+        block = oracle._lift[k][i]
+        result = block if result is None else result @ block
+        i, length = i + (1 << k), length ^ (1 << k)
+    return result
+
+
+def _chain_marginal(oracle: MarkovChainOracle, target: int, pins: dict) -> np.ndarray:
+    """The chain marginal as computed before ``marginals``: 2-D range
+    products by ``@``, no factor for a missing right neighbor, a 1-D sum."""
+    left = max((k for k in pins if k < target), default=None)
+    right = min((k for k in pins if k > target), default=None)
+    if left is None:
+        weights = oracle._pi[target]
+    else:
+        weights = _matmul_range_product(oracle, left, target)[pins[left]]
+    if right is not None:
+        weights = weights * _matmul_range_product(oracle, target, right)[:, pins[right]]
+    total = weights.sum()
+    if total <= 0.0:
+        raise ZeroMeasurePinning("reference")
+    return weights / total
+
+
+def _cyclic_chain(n: int, q: int) -> MarkovChainOracle:
+    """Starts in state 0 and steps x -> x or x + 1 (mod q): sparse, so
+    random pins often have zero measure."""
+    step = 0.5 * (np.eye(q) + np.roll(np.eye(q), 1, axis=1))
+    return MarkovChainOracle(np.eye(q)[0], np.array([step] * (n - 1)))
+
+
+class TestMarginals:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_marginals_equal_the_marginal_loop(self, data):
+        # Two sessions pinned alike, in random order: before each pin, one
+        # answers a list of targets (repeats among them) with ``marginals``,
+        # the other with ``marginal`` in order.
+        label, oracle = data.draw(st.sampled_from(SESSION_FAMILIES))
+        pairs, free = _draw_pins(data, oracle)
+        batched, looped = oracle.session(), oracle.session()
+        for step in range(len(pairs) + 1):
+            targets = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=8))
+            got = _asked(batched.marginals, targets)
+            want = _asked(lambda ts: [looped.marginal(t) for t in ts], targets)
+            if isinstance(want, str):
+                assert got == want, label
+            else:
+                assert [a.tobytes() for a in got] == [b.tobytes() for b in want], label
+                # An answer object repeats where the loop's does, and a
+                # question asked again is answered with the same object.
+                same = [[a is b for b in got] for a in got]
+                assert same == [[a is b for b in want] for a in want], label
+                for target, a, b in zip(targets, got, want):
+                    if looped.marginal(target) is b:
+                        assert batched.marginal(target) is a, label
+            if step < len(pairs):
+                batched.pin(*pairs[step])
+                looped.pin(*pairs[step])
+
+    @pytest.mark.parametrize("q", [2, 3, 16, 40])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["sticky", "cyclic"])
+    def test_markov_rows_equal_the_reference(self, q, sparse):
+        # Every free coordinate asked at once before each pin, in random
+        # order: the rows equal ``_marginal_probs`` and the formula before
+        # stacking, byte for byte.
+        n = 48
+        for seed in range(6):
+            gen = np.random.default_rng(seed)
+            oracle = _cyclic_chain(n, q) if sparse else sticky_markov(n, q, seed)
+            # A path of the chain gives positive-measure pins, and a few
+            # random symbols put zero measure within reach.
+            path = np.cumsum(gen.integers(0, 2, n)) % q if sparse else gen.integers(0, q, n)
+            path[gen.random(n) < 0.1] = gen.integers(0, q)
+            session = oracle.session()
+            pins: dict[int, int] = {}
+            for coord in gen.permutation(n)[: n - 4].tolist():
+                free = [t for t in gen.permutation(n).tolist() if t not in pins]
+                expected = _asked(lambda ts: [oracle._marginal_probs(t, pins) for t in ts], free)
+                if isinstance(expected, str):
+                    with pytest.raises(ZeroMeasurePinning):
+                        session.marginals(free)
+                else:
+                    rows = [a.tobytes() for a in session.marginals(free)]
+                    assert rows == [a.tobytes() for a in expected], (q, seed, pins)
+                    old = [_chain_marginal(oracle, t, pins).tobytes() for t in free]
+                    assert rows == old, (q, seed, pins)
+                session.pin(coord, int(path[coord]))
+                pins[coord] = int(path[coord])
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 16, 40, 64])
+    def test_range_products_equal_the_matmul_products(self, q):
+        # ``_range_product`` multiplies its blocks with ``ndarray.dot``,
+        # which must make the BLAS call ``@`` makes, to the bit.
+        oracle = sticky_markov(300, q, q)
+        gen = np.random.default_rng(q)
+        for _ in range(200):
+            i, j = sorted(gen.choice(300, 2, replace=False).tolist())
+            want = _matmul_range_product(oracle, i, j)
+            assert oracle._range_product(i, j).tobytes() == want.tobytes(), (q, i, j)
+
+    @pytest.mark.parametrize("q", [*range(1, 40), 64, 100, 127, 128, 129, 256, 1000, 4096])
+    def test_row_sums_are_the_one_dimensional_sums(self, q):
+        # The Markov ``marginals`` sums its stacked weights row-wise and
+        # divides them as ``marginal`` does a single vector: that holds
+        # only while numpy sums each row of a C-contiguous (m, q) array in
+        # the order of its 1-D reduce (pairwise past 8 terms).
+        gen = np.random.default_rng(q)
+        for m in (1, 2, 3, 7, 12, 40):
+            weights = gen.random((m, q)) * np.exp(gen.normal(0.0, 8.0, (m, q)))
+            totals = np.add.reduce(weights, axis=1)
+            rows = weights / totals[:, None]
+            for k in range(m):
+                assert totals[k].hex() == np.add.reduce(weights[k]).hex(), (q, m, k)
+                assert rows[k].tobytes() == (weights[k] / np.add.reduce(weights[k])).tobytes()
+
+
 def _affine_oracle(data, min_rows: int = 0):
     """``random_affine(n, m)`` for n up to 64 and m in [min_rows, n] (the
     ends drawn often), or a system with dependent rows."""
@@ -764,6 +893,31 @@ class TestApproximateFold:
                 ext = {**pins, target: x}
                 assert oracle._log_probability(ext) == _perturbed_from_words(oracle, ext)
                 assert counts[x].hex() == _perturbed_from_words(oracle, ext).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_kept_folds_are_the_prefix_folds(self, data):
+        # Queries between the pins extend the session's prefix folds, and
+        # each pin drops the ones past its sorted place: every kept fold is
+        # the fold of its prefix, and every answer is the reference's.
+        n = data.draw(st.integers(2, 8))
+        inner = random_table(n, data.draw(st.integers(2, 3)), data.draw(st.integers(0, 99)))
+        oracle = approximate_wrap(inner, 0.3, 0.2, seed=data.draw(st.integers(0, (1 << 64) - 1)))
+        pairs, _ = _draw_pins(data, oracle)
+        session = oracle.session()
+        pins: dict[int, int] = {}
+        for step in range(len(pairs) + 1):
+            unpinned = [c for c in range(n) if c not in pins]
+            for target in data.draw(st.lists(st.sampled_from(unpinned), max_size=3)):
+                expected = _approximate_reference(oracle, target, pins).tobytes()
+                assert session.marginal(target).tobytes() == expected
+            assert session._items == sorted(pins.items())
+            assert 1 <= len(session._folds) <= len(pins) + 1
+            for k, fold in enumerate(session._folds):
+                assert fold == oracle_mod._fold(session._items[:k]), (k, session._items)
+            if step < len(pairs):
+                session.pin(*pairs[step])
+                pins[pairs[step][0]] = pairs[step][1]
 
 
 def _moveaxis_marginal(table: np.ndarray, target: int, pins: dict) -> np.ndarray:

@@ -391,6 +391,9 @@ class _RecordedSession:
     def marginal(self, target):
         return self._inner.marginal(target)
 
+    def marginals(self, targets):
+        return self._inner.marginals(targets)
+
 
 class _RecordingOracle(ConditionalOracle):
     """``inner``, keeping every session it opens."""
@@ -806,6 +809,9 @@ class _CopiedSession(_RecordedSession):
     def marginal(self, target):
         return self._inner.marginal(target).copy()
 
+    def marginals(self, targets):
+        return [probs.copy() for probs in self._inner.marginals(targets)]
+
 
 class _CopyingOracle(_RecordingOracle):
     """``inner``, with sessions whose answers are fresh copies: no verify
@@ -849,6 +855,11 @@ class _LoggedSession(_RecordedSession):
         probs = self._inner.marginal(target)
         self._events.append(("marginal", target, probs))
         return probs
+
+    def marginals(self, targets):
+        answers = self._inner.marginals(targets)
+        self._events += [("marginal", t, probs) for t, probs in zip(targets, answers)]
+        return answers
 
 
 def test_efficient_markov_couples_only_changed_verify_answers(monkeypatch):
