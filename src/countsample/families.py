@@ -37,6 +37,8 @@ def random_table(n: int, q: int, seed: int) -> TableOracle:
 
 
 def random_product(n: int, q: int, seed: int) -> ProductOracle:
+    if n < 1 or q < 1:
+        raise ValueError("n and q must be positive")
     raw = rng.uniform_array(seed, _PRODUCT_STREAM, n * q).reshape(n, q) + 1e-3
     return ProductOracle(raw / raw.sum(axis=1, keepdims=True))
 

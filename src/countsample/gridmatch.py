@@ -195,10 +195,9 @@ class GridMatchingOracle(ConditionalOracle):
     after the ``sep_col`` columns to the left and ``R`` the same profile
     after the columns to the right (the grid is mirror-symmetric).  The
     constructor joins the two into a table of every configuration with
-    nonzero weight, once per instance; every query then sums table weights
-    by the target's direction, O(|pins| * configurations) for the reference
-    ``_marginal_probs`` and O(configurations) per session query or pin.
-    Queries are read-only.
+    nonzero weight, once per instance.  A session keeps the weights still
+    alive under its pins, and a query sums them by the target's direction:
+    O(configurations) per session query or pin.  Queries are read-only.
 
     Weights are summed as float64, which is exact only below 2**53, so the
     constructor rejects grids with that many matchings; within that limit
@@ -275,13 +274,14 @@ class GridMatchingOracle(ConditionalOracle):
         return weight[keep], (fillings[keep] >> np.array(shifts)[:, None]) & 3
 
     def _count(self, removed: frozenset[tuple[int, int]]) -> int:
-        """Reference count of the grid minus ``removed`` (uncached DP)."""
+        """Count of the grid minus ``removed`` by the uncached DP.  No query
+        calls it; the benchmark's tracer (perfbench/tracing.py) wraps it."""
         return match_count(self.w, self.h, removed)
 
     def session(
         self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
     ) -> "_GridSession":
-        return _GridSession(self, dict(base))
+        return _GridSession(self, base)
 
     def _alive_weights(self, pins: Mapping[int, int]) -> np.ndarray:
         """Table weights, zeroed where a configuration disagrees with a pin."""
@@ -296,9 +296,6 @@ class GridMatchingOracle(ConditionalOracle):
         if total <= 0.0:
             raise ZeroMeasurePinning("no perfect matching is consistent with the pinning")
         return weights / total
-
-    def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
-        return self._marginal_from(target, self._alive_weights(pins))
 
     def _log_probability(self, pins: Mapping[int, int]) -> float:
         count = float(self._alive_weights(pins).sum())
@@ -320,9 +317,9 @@ class _GridSession(PinningSession):
 
     __slots__ = ("_alive",)
 
-    def __init__(self, oracle: GridMatchingOracle, pins: dict[int, int]) -> None:
-        super().__init__(oracle, pins)
-        self._alive = oracle._alive_weights(pins)
+    def __init__(self, oracle: GridMatchingOracle, base) -> None:
+        self._alive = oracle._weights
+        super().__init__(oracle, base)
 
     def pin(self, coord: int, sym: int) -> None:
         super().pin(coord, sym)

@@ -322,13 +322,12 @@ class HardnessOracle(ConditionalOracle):
     The distribution is the product of the blocks' uniform affine codes,
     held as the instance's block oracles, which the view reuses with the
     instance's index.  A coordinate's marginal depends only on its own
-    block (the other blocks' counts cancel in the ratio), so it is that
-    block oracle's marginal at the target's local column under the pins
-    that fall in the block.  A session is the product of one affine
-    session per block: each pin and each target is routed to its block's
-    session by the index, so a query is one row reduction in one block.
-    As for every family, the public ``conditional_marginal`` also checks
-    that the whole pinning has positive measure.
+    block (the other blocks' counts cancel in the ratio), so a session is
+    the product of one affine session per block: each pin and each target
+    is routed to its block's session by the index, so a query is one row
+    reduction in one block.  As for every family, the public
+    ``conditional_marginal`` also checks that the whole pinning has
+    positive measure.
     """
 
     variant = "hardness"
@@ -344,20 +343,7 @@ class HardnessOracle(ConditionalOracle):
     def session(
         self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
     ) -> "_HardnessSession":
-        return _HardnessSession(self, dict(base))
-
-    def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
-        bi, col = self._index[target]
-        local = {}
-        for pos, bit in pins.items():
-            block, local_col = self._index[pos]
-            if block == bi:
-                local[local_col] = bit
-        try:
-            return self._blocks[bi]._marginal_probs(col, local)
-        except ZeroMeasurePinning:
-            # The block oracle names local columns; report the caller's pins.
-            raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0") from None
+        return _HardnessSession(self, base)
 
     def _log_probability(self, pins: Mapping[int, int]) -> float:
         count = _count_blocks(self.instance, pins)
@@ -373,17 +359,15 @@ class _HardnessSession(PinningSession):
     """One affine session per block; a pin or a target goes to its block.
 
     A block session raises ``ZeroMeasurePinning`` exactly when the pins in
-    its own block contradict its code, as the reference does; the error is
-    raised again naming the caller's pins instead of local columns.
+    its own block contradict its code; the error is raised again naming the
+    caller's pins instead of local columns.
     """
 
     __slots__ = ("_blocks",)
 
-    def __init__(self, oracle: HardnessOracle, pins: dict[int, int]) -> None:
-        super().__init__(oracle, {})
+    def __init__(self, oracle: HardnessOracle, base) -> None:
         self._blocks = tuple(block.session() for block in oracle._blocks)
-        for coord, sym in pins.items():
-            self.pin(coord, sym)
+        super().__init__(oracle, base)
 
     def pin(self, coord: int, sym: int) -> None:
         if coord in self._pins:

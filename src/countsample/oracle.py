@@ -14,18 +14,16 @@ Concrete families:
                            a session indexes each pinned axis away once.
 * ``ProductOracle``     -- independent coordinates.
 * ``MarkovChainOracle`` -- exact chain conditionals via precomputed range
-                           products: O(log|pins| + q^2 log n) per session
-                           query, O(|pins| + q^2 log n) per reference
-                           ``_marginal_probs`` call; the designated family
-                           for scaling experiments.
+                           products, O(log|pins| + q^2 log n) per session
+                           query; the designated family for scaling
+                           experiments.
 * ``PairCopyOracle``    -- even coordinates copy their predecessor; the
                            worst case for prefix-window samplers under the
                            identity permutation.
 * ``AffineCodeOracle``  -- uniform over the solutions of a GF(2) affine
                            system; a session keeps the pinned system in
                            echelon form, so a pin or a marginal is one row
-                           reduction (the reference ``_marginal_probs``
-                           takes two pinned solve counts).
+                           reduction.
 * ``ApproximateOracle`` -- deterministic multiplicative-noise wrapper
                            around any inner oracle; a session reads its
                            counts off a session of the inner oracle.
@@ -33,23 +31,26 @@ Concrete families:
 ``GridMatchingOracle`` (separator-column marginals of uniform grid perfect
 matchings) lives in ``gridmatch`` and shares this module's base class.
 
-The samplers query through conditioning sessions (:class:`PinningSession`):
+Every query goes through a conditioning session (:class:`PinningSession`):
 a pinning that grows one coordinate at a time, each pinned once, whose
-answers are bit-identical to ``_marginal_probs`` on the same pins in any
-pin order.  Families whose answer can reuse the previous pinning override
-``session``: table, Markov, affine, grid, hardness and approximate do;
-product and pair-copy run the default session, which hands its pins to
-``_marginal_probs`` on every query.  The table session keeps the view of
-the table left after indexing each pinned axis away.  The Markov session
-memoizes the last answer per target, keyed by the target's nearest pinned
-neighbors and their symbols, so a question asked again under them is
-answered once; the memo lives and dies with one session, never on the
-oracle.  The affine session (and the hardness session, one affine session
-per block) copies the pivots of the base system, eliminated once at
-construction, and reduces each pin into them; a pinned count is read off
-such a session.  The approximate session keeps its pins sorted, the hash
-of each sorted prefix its queries have reached, and a session of its inner
-oracle for the counts.
+answers depend on the set of pins, never on their order.  Each family has
+one query path.  Families whose answer can reuse the previous pinning
+override ``session``: table, Markov, affine, grid, hardness and
+approximate do.  Product and pair-copy keep no state between queries;
+they override ``_marginal_probs`` instead and run the default session,
+which hands its pins to ``_marginal_probs`` on every query.  The base
+``_marginal_probs`` is ``session(pins).marginal(target)``, for callers
+that hold a pin dict rather than a session.  The table session keeps the
+view of the table left after indexing each pinned axis away.  The Markov
+session memoizes the last answer per target, keyed by the target's
+nearest pinned neighbors and their symbols, so a question asked again
+under them is answered once; the memo lives and dies with one session,
+never on the oracle.  The affine session (and the hardness session, one
+affine session per block) copies the pivots of the base system,
+eliminated once at construction, and reduces each pin into them; a pinned
+count is read off such a session.  The approximate session keeps its pins
+sorted, the hash of each sorted prefix its queries have reached, and a
+session of its inner oracle for the counts.
 
 A session answers a round of questions in one call, ``marginals(targets)``,
 with the bytes ``marginal`` gives each target.  Every session but the
@@ -66,7 +67,8 @@ and the approximate session perturbs its inner session's counts.
 The public query ``conditional_marginal(target, pins)`` is a validating
 wrapper over the same session: it rejects malformed input, raises
 ``ZeroMeasurePinning`` for every family when ``pins`` has probability 0,
-and otherwise returns the session's array unchanged.
+and otherwise returns the session's array unchanged.  Its pins are
+checked where every session checks its base pins, in ``PinningSession``.
 
 Queries are read-only: every family answers from state built in its
 constructor, so no query changes an oracle or its later answers, and no
@@ -91,8 +93,11 @@ from .gf2 import (
     bits_to_hex,
     hex_to_bits,
     reduce_row,
-    solve_affine_with_pinning,
 )
+
+# Not called here: the benchmark's tracer (perfbench/tracing.py) rebinds
+# this module's name for the duration of a traced run.
+from .gf2 import solve_affine_with_pinning  # noqa: F401
 
 _LN2 = math.log(2.0)
 _SUM_TOL = 1e-9
@@ -152,9 +157,11 @@ class PinningSession:
     answers the target's conditional under the pins so far, and its bytes
     depend on the set of pins, never on the order they arrived in.  An
     answer array is never written after it is returned, so the sampler
-    takes a repeated array object for a repeated answer.  Other inputs are
-    trusted, as for ``_marginal_probs``, whose answer (and
-    ``ZeroMeasurePinning``) this default session returns.
+    takes a repeated array object for a repeated answer.  The base pins are
+    checked here, once for every family and for the public query
+    (``MalformedQuery``, numpy integers taken as Python ints), and then
+    pinned one by one; later pins and targets are trusted.  This default
+    session asks the oracle's ``_marginal_probs`` on every query.
 
     ``marginals(targets)`` asks a round's questions in one call: one answer
     per target, in order, each with the bytes ``marginal`` gives in the same
@@ -172,9 +179,15 @@ class PinningSession:
 
     __slots__ = ("_oracle", "_pins")
 
-    def __init__(self, oracle: "ConditionalOracle", pins: dict[int, int]) -> None:
+    def __init__(
+        self,
+        oracle: "ConditionalOracle",
+        base: Mapping[int, int] | Iterable[tuple[int, int]] = (),
+    ) -> None:
         self._oracle = oracle
-        self._pins = pins
+        self._pins: dict[int, int] = {}
+        for coord, sym in oracle._checked_pins(dict(base)).items():
+            self.pin(coord, sym)
 
     def pin(self, coord: int, sym: int) -> None:
         if coord in self._pins:
@@ -202,9 +215,12 @@ class PinningSession:
 class ConditionalOracle(ABC):
     """Interface every oracle family implements.
 
-    Subclasses provide the trusted hot paths ``_marginal_probs`` and
-    ``_log_probability``; the public methods validate their input and
-    answer through the same paths the samplers use.
+    A family answers marginals one way: it overrides ``session`` (a
+    session that reuses its pinning) or ``_marginal_probs`` (answered from
+    scratch, under the default session), never both, and each default
+    calls the other.  It also provides the trusted ``_log_probability``;
+    the public methods validate their input and answer through the same
+    sessions the samplers use.
     """
 
     variant: str = "abstract"
@@ -215,8 +231,8 @@ class ConditionalOracle(ABC):
         self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
     ) -> PinningSession:
         """A conditioning session starting from ``base`` (a mapping or
-        (coordinate, symbol) pairs)."""
-        return PinningSession(self, dict(base))
+        (coordinate, symbol) pairs, checked for ``MalformedQuery``)."""
+        return PinningSession(self, base)
 
     def conditional_marginal(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
         """Exact vector ``(P[X_target = x | X_S = pins])_x``: the array
@@ -224,12 +240,13 @@ class ConditionalOracle(ABC):
         couple against.  Raises ``MalformedQuery`` on bad input and
         ``ZeroMeasurePinning`` when ``pins`` has probability 0."""
         target = _index(target, self.n, "target")
-        pins = self._checked_pins(pins)
+        session = self.session(pins)
+        pins = session._pins
         if target in pins:
             raise MalformedQuery(f"target coordinate {target} is pinned")
         if pins and self._log_probability(pins) == -math.inf:
             raise ZeroMeasurePinning(f"pinning {pins!r} has probability 0")
-        return self.session(pins).marginal(target)
+        return session.marginal(target)
 
     def joint_probability(self, pins: Mapping[int, int]) -> float:
         """Exact ``log P[X_S = s]``; ``-inf`` for zero measure."""
@@ -244,10 +261,10 @@ class ConditionalOracle(ABC):
             for pos, val in pins.items()
         }
 
-    @abstractmethod
     def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
-        """Normalized marginal vector; trusted input, may raise
-        ZeroMeasurePinning."""
+        """Normalized marginal vector; trusted target (any integer type),
+        may raise ZeroMeasurePinning."""
+        return self.session(pins).marginal(int(target))
 
     @abstractmethod
     def _log_probability(self, pins: Mapping[int, int]) -> float:
@@ -261,13 +278,10 @@ class ConditionalOracle(ABC):
 class TableOracle(ConditionalOracle):
     """Explicit joint distribution over ``[q]^n`` (row-major flat table).
 
-    The reference ``_marginal_probs`` indexes the table with one slot per
-    coordinate on every call.  A session indexes each pinned axis away
-    once, as it is pinned, so its view is the reference's
-    ``table[indexer(pins)]`` (basic indexing composes: same shape, strides
-    and offset), and a query finds the target's axis by bisecting the free
-    coordinates.  Both finish in ``_table_marginal``, so their answers are
-    bit-identical.
+    A session indexes each pinned axis away once, as it is pinned, so its
+    view is ``table[indexer(pins)]`` (basic indexing composes: same shape,
+    strides and offset), and a query finds the target's axis by bisecting
+    the free coordinates and sums the view in ``_table_marginal``.
     """
 
     variant = "table"
@@ -290,11 +304,7 @@ class TableOracle(ConditionalOracle):
     def session(
         self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
     ) -> "_TableSession":
-        return _TableSession(self, dict(base))
-
-    def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
-        axis = sum(1 for k in range(target) if k not in pins)
-        return _table_marginal(self._table[self._indexer(pins)], axis, pins)
+        return _TableSession(self, base)
 
     def _log_probability(self, pins: Mapping[int, int]) -> float:
         return _log_sum(self._table[self._indexer(pins)])
@@ -333,12 +343,10 @@ class _TableSession(PinningSession):
 
     __slots__ = ("_sub", "_free")
 
-    def __init__(self, oracle: TableOracle, pins: dict[int, int]) -> None:
-        super().__init__(oracle, {})
+    def __init__(self, oracle: TableOracle, base) -> None:
         self._sub = oracle._table
         self._free = list(range(oracle.n))
-        for coord, sym in pins.items():
-            self.pin(coord, sym)
+        super().__init__(oracle, base)
 
     def pin(self, coord: int, sym: int) -> None:
         if coord in self._pins:
@@ -399,15 +407,13 @@ class MarkovChainOracle(ConditionalOracle):
     Range products are assembled from a doubling table built once at
     construction, a canonical float computation independent of pinning
     insertion order.  A session keeps its pinned coordinates sorted and
-    finds the neighbors by bisection, O(log|pins| + q^2 log n) per query;
-    the reference ``_marginal_probs`` scans every pin, O(|pins| + q^2 log n).
-    Both take the two factors of the weights from ``_factors`` and finish
-    in ``_marginal_from``, so their answers are bit-identical.  A session
-    keeps a memo (target -> neighbors and the answer), so a repeated
-    question costs one bisection and one lookup, and returns the same array
-    object; its ``marginals`` normalizes the factors of all the targets the
-    memo misses as one stacked array, row for row the bytes of
-    ``_marginal_from``.
+    finds the neighbors by bisection, O(log|pins| + q^2 log n) per query,
+    then takes the two factors of the weights from ``_factors`` and
+    normalizes them in ``_marginal_from``.  It keeps a memo (target ->
+    neighbors and the answer), so a repeated question costs one bisection
+    and one lookup, and returns the same array object; its ``marginals``
+    normalizes the factors of all the targets the memo misses as one
+    stacked array, row for row the bytes of ``_marginal_from``.
     """
 
     variant = "markov"
@@ -466,26 +472,10 @@ class MarkovChainOracle(ConditionalOracle):
             length ^= 1 << k
         return result
 
-    @staticmethod
-    def _neighbors(target: int, pins: Mapping[int, int]) -> tuple[int | None, int | None]:
-        if not pins:
-            return None, None
-        keys = np.fromiter(pins.keys(), dtype=np.int64, count=len(pins))
-        left = keys[keys < target]
-        right = keys[keys > target]
-        return (
-            int(left.max()) if left.size else None,
-            int(right.min()) if right.size else None,
-        )
-
     def session(
         self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
     ) -> "_MarkovSession":
-        return _MarkovSession(self, dict(base))
-
-    def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
-        left, right = self._neighbors(target, pins)
-        return self._marginal_from(target, left, right, pins)
+        return _MarkovSession(self, base)
 
     def _factors(
         self, target: int, left: int | None, right: int | None, pins: Mapping[int, int]
@@ -563,10 +553,10 @@ class _MarkovSession(PinningSession):
 
     __slots__ = ("_keys", "_memo")
 
-    def __init__(self, oracle: MarkovChainOracle, pins: dict[int, int]) -> None:
-        super().__init__(oracle, pins)
-        self._keys = sorted(pins)
+    def __init__(self, oracle: MarkovChainOracle, base) -> None:
+        self._keys = []
         self._memo = {}
+        super().__init__(oracle, base)
 
     def pin(self, coord: int, sym: int) -> None:
         # The base check, inlined: the engine pins every coordinate here.
@@ -682,8 +672,6 @@ class AffineCodeOracle(ConditionalOracle):
     once and keeps its pivots (``gf2.affine_pivots``).  A session copies
     them and reduces each pin and each target's unit row against them, one
     O(rank) reduction per call; a pinned count is read off such a session.
-    The reference ``_marginal_probs`` takes two pinned solution counts
-    (target forced to 0 and to 1) instead; the two agree byte for byte.
     """
 
     variant = "affine"
@@ -704,20 +692,7 @@ class AffineCodeOracle(ConditionalOracle):
     def session(
         self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
     ) -> "_AffineSession":
-        return _AffineSession(self, dict(base))
-
-    def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
-        items = list(pins.items())
-        c0 = solve_affine_with_pinning(self.matrix, self.rhs, items + [(target, 0)])
-        c1 = solve_affine_with_pinning(self.matrix, self.rhs, items + [(target, 1)])
-        if c0 is None and c1 is None:
-            raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
-        if c0 is None:
-            return np.array([0.0, 1.0])
-        if c1 is None:
-            return np.array([1.0, 0.0])
-        # Both restrictions of an affine support are cosets of one subspace.
-        return np.array([0.5, 0.5])
+        return _AffineSession(self, base)
 
     def _log_probability(self, pins: Mapping[int, int]) -> float:
         count = self._pinned_log2(pins)
@@ -729,7 +704,7 @@ class AffineCodeOracle(ConditionalOracle):
         """log2 count under trusted ``(column, bit)`` pins, read off the
         pivots of a session holding them; None at zero measure, returned at
         the first pin that contradicts the code, with no later pin reduced."""
-        session = _AffineSession(self, {})
+        session = _AffineSession(self, ())
         pivots = session._pivots
         for coord, sym in dict(pins).items():
             session.pin(coord, sym)
@@ -764,19 +739,16 @@ class _AffineSession(PinningSession):
 
     ``pin(c, s)`` reduces the row ``x[c] = s`` into the pivots.  A pivot at
     bit 0 is the equation ``0 = 1``: the pinning has measure zero, and
-    every later ``marginal`` raises ``ZeroMeasurePinning``, as the
-    reference does.  ``marginal(t)`` reduces the unit row of ``t``: a free
-    lead bit left means ``t`` is uniform, and a row reduced to 0 or 1 is
-    ``t``'s forced value.
+    every later ``marginal`` raises ``ZeroMeasurePinning``.  ``marginal(t)``
+    reduces the unit row of ``t``: a free lead bit left means ``t`` is
+    uniform, and a row reduced to 0 or 1 is ``t``'s forced value.
     """
 
     __slots__ = ("_pivots",)
 
-    def __init__(self, oracle: AffineCodeOracle, pins: dict[int, int]) -> None:
-        super().__init__(oracle, {})
+    def __init__(self, oracle: AffineCodeOracle, base) -> None:
         self._pivots = dict(oracle._pivots)
-        for coord, sym in pins.items():
-            self.pin(coord, sym)
+        super().__init__(oracle, base)
 
     def pin(self, coord: int, sym: int) -> None:
         if coord in self._pins:
@@ -807,12 +779,10 @@ class ApproximateOracle(ConditionalOracle):
     share the hash of the pins below the target.  The seed half of the
     stream key is mixed once, in the constructor.
 
-    The reference ``_marginal_probs`` asks the inner oracle for each
-    extended count, and folds the pins below the target, from scratch.  A
-    session keeps its pins sorted, the folds of their sorted prefixes, and
-    an inner session beside them, and reads the q counts off the inner
-    session's ``_log_counts``; both finish in ``_perturb`` and
-    ``_from_log_counts``, so their answers are bit-identical.
+    A session keeps its pins sorted, the folds of their sorted prefixes,
+    and an inner session beside them; it reads the q counts off the inner
+    session's ``_log_counts``, perturbs them in ``_perturb`` and normalizes
+    them in ``_from_log_counts``.
     """
 
     variant = "approximate"
@@ -833,7 +803,7 @@ class ApproximateOracle(ConditionalOracle):
     def session(
         self, base: Mapping[int, int] | Iterable[tuple[int, int]] = ()
     ) -> "_ApproximateSession":
-        return _ApproximateSession(self, dict(base))
+        return _ApproximateSession(self, base)
 
     def _perturbed_log_count(self, pins: Mapping[int, int]) -> float:
         base = self.inner._log_probability(pins)
@@ -863,14 +833,6 @@ class ApproximateOracle(ConditionalOracle):
             if base != -math.inf:
                 logs[x] = self._perturbed(base, _fold(above, _fold(((target, x),), below)))
         return logs
-
-    def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
-        # The default session's counts: one inner ``_log_probability`` each,
-        # and the pins below the target folded from scratch.
-        logs = PinningSession(self.inner, dict(pins))._log_counts(target)
-        items = sorted(pins.items())
-        cut = bisect_left(items, (target,))
-        return _from_log_counts(self._perturb(logs, target, _fold(items[:cut]), items[cut:]), pins)
 
     def _log_probability(self, pins: Mapping[int, int]) -> float:
         return self._perturbed_log_count(pins)
@@ -907,13 +869,11 @@ class _ApproximateSession(PinningSession):
 
     __slots__ = ("_items", "_folds", "_inner")
 
-    def __init__(self, oracle: ApproximateOracle, pins: dict[int, int]) -> None:
-        super().__init__(oracle, {})
+    def __init__(self, oracle: ApproximateOracle, base) -> None:
         self._items: list[tuple[int, int]] = []
         self._folds = [_fold(())]
         self._inner = oracle.inner.session()
-        for coord, sym in pins.items():
-            self.pin(coord, sym)
+        super().__init__(oracle, base)
 
     def pin(self, coord: int, sym: int) -> None:
         if coord in self._pins:

@@ -1,12 +1,22 @@
-"""Shared brute-force reference implementations, imported by the test
-modules as ``support``.
+"""Shared reference implementations, imported by the test modules as
+``support``.
 
-These deliberately avoid the package's own algorithms: matchings are
+The brute-force helpers avoid the package's own algorithms: matchings are
 enumerated by backtracking, joint distributions by exhaustive products,
-GF(2) solution sets by trying every vector.  ``session_families`` is the
-shared set of oracles whose raw marginals the session and coupler
-properties draw from, and ``dependent_affines`` draws affine systems with
-linearly dependent rows.
+GF(2) solution sets by trying every vector.
+
+``reference_marginal(oracle, target, pins)`` is the from-scratch marginal
+that each session family once carried as its own ``_marginal_probs``: it
+rebuilds the pinning on every call, reusing only the family's stateless
+helpers (the table view sum, the chain's range products, a pinned GF(2)
+solve, the grid's alive weights, the approximate wrapper's noise).  The
+session properties compare every session against it; product and
+pair-copy have no session of their own, so their ``_marginal_probs`` is
+their reference.
+
+``session_families`` is the shared set of oracles whose raw marginals the
+session and coupler properties draw from, and ``dependent_affines`` draws
+affine systems with linearly dependent rows.
 """
 
 from __future__ import annotations
@@ -14,6 +24,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from bisect import bisect_left
+from typing import Mapping
 
 import numpy as np
 from hypothesis import strategies as st
@@ -26,13 +38,21 @@ from countsample.families import (
     random_table,
     sticky_markov,
 )
-from countsample.gf2 import BitMatrix, BitVector
-from countsample.hardness import generate, marginal_oracle_view
+from countsample.gf2 import BitMatrix, BitVector, solve_affine_with_pinning
+from countsample.gridmatch import GridMatchingOracle
+from countsample.hardness import HardnessOracle, generate, marginal_oracle_view
 from countsample.oracle import (
     AffineCodeOracle,
+    ApproximateOracle,
     MarkovChainOracle,
+    PairCopyOracle,
+    PinningSession,
     ProductOracle,
     TableOracle,
+    ZeroMeasurePinning,
+    _fold,
+    _from_log_counts,
+    _table_marginal,
     approximate_wrap,
 )
 
@@ -135,6 +155,96 @@ def dependent_affines(draw, max_n: int):
         subset = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
         rows.append(functools.reduce(operator.xor, subset))
     return affine_through(n, draw(st.permutations(rows)), draw(st.integers(0, (1 << n) - 1)))
+
+
+class _TableReference:
+    def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
+        axis = sum(1 for k in range(target) if k not in pins)
+        return _table_marginal(self._table[self._indexer(pins)], axis, pins)
+
+
+class _MarkovReference:
+    @staticmethod
+    def _neighbors(target: int, pins: Mapping[int, int]) -> tuple[int | None, int | None]:
+        if not pins:
+            return None, None
+        keys = np.fromiter(pins.keys(), dtype=np.int64, count=len(pins))
+        left = keys[keys < target]
+        right = keys[keys > target]
+        return (
+            int(left.max()) if left.size else None,
+            int(right.min()) if right.size else None,
+        )
+
+    def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
+        left, right = _MarkovReference._neighbors(target, pins)
+        return self._marginal_from(target, left, right, pins)
+
+
+class _AffineReference:
+    def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
+        items = list(pins.items())
+        c0 = solve_affine_with_pinning(self.matrix, self.rhs, items + [(target, 0)])
+        c1 = solve_affine_with_pinning(self.matrix, self.rhs, items + [(target, 1)])
+        if c0 is None and c1 is None:
+            raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0")
+        if c0 is None:
+            return np.array([0.0, 1.0])
+        if c1 is None:
+            return np.array([1.0, 0.0])
+        # Both restrictions of an affine support are cosets of one subspace.
+        return np.array([0.5, 0.5])
+
+
+class _GridReference:
+    def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
+        return self._marginal_from(target, self._alive_weights(pins))
+
+
+class _HardnessReference:
+    def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
+        bi, col = self._index[target]
+        local = {}
+        for pos, bit in pins.items():
+            block, local_col = self._index[pos]
+            if block == bi:
+                local[local_col] = bit
+        try:
+            return reference_marginal(self._blocks[bi], col, local)
+        except ZeroMeasurePinning:
+            # The block oracle names local columns; report the caller's pins.
+            raise ZeroMeasurePinning(f"pinning {dict(pins)!r} has probability 0") from None
+
+
+class _ApproximateReference:
+    def _marginal_probs(self, target: int, pins: Mapping[int, int]) -> np.ndarray:
+        # The default session's counts: one inner ``_log_probability`` each,
+        # and the pins below the target folded from scratch.
+        logs = PinningSession(self.inner, dict(pins))._log_counts(target)
+        items = sorted(pins.items())
+        cut = bisect_left(items, (target,))
+        return _from_log_counts(self._perturb(logs, target, _fold(items[:cut]), items[cut:]), pins)
+
+
+# The from-scratch query of each family whose session reuses its pinning.
+_REFERENCES = {
+    TableOracle: _TableReference,
+    MarkovChainOracle: _MarkovReference,
+    AffineCodeOracle: _AffineReference,
+    GridMatchingOracle: _GridReference,
+    HardnessOracle: _HardnessReference,
+    ApproximateOracle: _ApproximateReference,
+}
+
+
+def reference_marginal(oracle, target: int, pins: Mapping[int, int]) -> np.ndarray:
+    """``oracle``'s marginal of ``target`` under ``pins``, rebuilt from
+    scratch on every call and never through a session of the family.
+    Raises ``KeyError`` for an oracle type with no reference, so that no
+    property compares a session with itself."""
+    if type(oracle) in (ProductOracle, PairCopyOracle):
+        return oracle._marginal_probs(target, pins)
+    return _REFERENCES[type(oracle)]._marginal_probs(oracle, target, pins)
 
 
 def session_families():

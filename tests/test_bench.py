@@ -11,7 +11,7 @@ from countsample.bench import (
     rows_to_csv,
     run_bench,
 )
-from countsample.families import build_builtin, sticky_markov
+from countsample.families import build_builtin, random_product, sticky_markov
 from countsample.oracle import MarkovChainOracle, PairCopyOracle
 
 
@@ -45,6 +45,12 @@ class TestFamilies:
         # A reshape to (n - 1, q, q) once read n = 0 as "infer this axis".
         with pytest.raises(ValueError, match="n and q must be positive"):
             sticky_markov(n, q, 1)
+
+    @pytest.mark.parametrize("n,q", [(0, 2), (-5, 2), (8, -3), (8, 0)])
+    def test_random_product_refuses_non_positive_sizes(self, n, q):
+        # The factor array's own checks once named it instead of the sizes.
+        with pytest.raises(ValueError, match="n and q must be positive"):
+            random_product(n, q, 1)
 
     def test_bench_families(self):
         assert isinstance(build_family_instance("markov", 16, 2, 1), MarkovChainOracle)

@@ -107,6 +107,13 @@ class TestSampleCommand:
         assert "n and q must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_product_is_oracle_error(self, tmp_path, capsys):
+        out = tmp_path / "sample.json"
+        rc = main(["sample", "--oracle", "builtin:product:n=0", "--out", str(out)])
+        assert rc == EXIT_ORACLE
+        assert "n and q must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_file_roundtrip(self, tmp_path):
         from countsample.families import random_table
 

@@ -1,5 +1,8 @@
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
 import re
 
 import numpy as np
@@ -7,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from support import all_configs, dependent_affines, session_families
+from support import all_configs, dependent_affines, reference_marginal, session_families
+import countsample
 from countsample import oracle as oracle_mod
 from countsample import rng
 from countsample.diagnostics import joint_table
@@ -23,6 +27,7 @@ from countsample.hardness import HardnessOracle, count_hypercube, generate, marg
 from countsample.oracle import (
     AffineCodeOracle,
     ApproximateOracle,
+    ConditionalOracle,
     MalformedQuery,
     MarkovChainOracle,
     PairCopyOracle,
@@ -428,7 +433,7 @@ class TestSessions:
         for coord, sym in pairs:
             target = data.draw(st.sampled_from(free))
             assert _answer(session.marginal, target) == _answer(
-                lambda t: oracle._marginal_probs(t, pins), target
+                lambda t: reference_marginal(oracle, t, pins), target
             ), label
             session.pin(coord, sym)
             pins[coord] = sym
@@ -439,7 +444,7 @@ class TestSessions:
         reference = dict(sorted(pins.items()))
         from_base = oracle.session(reversed(pairs))
         for target in free:
-            expected = _answer(lambda t: oracle._marginal_probs(t, reference), target)
+            expected = _answer(lambda t: reference_marginal(oracle, t, reference), target)
             assert _answer(session.marginal, target) == expected, label
             assert _answer(reordered.marginal, target) == expected, label
             assert _answer(from_base.marginal, target) == expected, label
@@ -455,7 +460,7 @@ class TestSessions:
         pins: dict[int, int] = {}
 
         def check(target):
-            expected = _answer(lambda t: oracle._marginal_probs(t, pins), target)
+            expected = _answer(lambda t: reference_marginal(oracle, t, pins), target)
             assert _answer(session.marginal, target) == expected, label
 
         for coord, sym in pairs:
@@ -486,7 +491,7 @@ class TestSessions:
         # The chain starts in state 0, and 0 -> 2 is impossible.
         pins = {1: 2, 6: 0}
         with pytest.raises(ZeroMeasurePinning):
-            oracle._marginal_probs(0, pins)
+            reference_marginal(oracle, 0, pins)
         with pytest.raises(ZeroMeasurePinning):
             oracle.session(pins).marginal(0)
 
@@ -591,7 +596,7 @@ class TestMarginals:
     @pytest.mark.parametrize("sparse", [False, True], ids=["sticky", "cyclic"])
     def test_markov_rows_equal_the_reference(self, q, sparse):
         # Every free coordinate asked at once before each pin, in random
-        # order: the rows equal ``_marginal_probs`` and the formula before
+        # order: the rows equal the reference and the formula before
         # stacking, byte for byte.
         n = 48
         for seed in range(6):
@@ -605,7 +610,7 @@ class TestMarginals:
             pins: dict[int, int] = {}
             for coord in gen.permutation(n)[: n - 4].tolist():
                 free = [t for t in gen.permutation(n).tolist() if t not in pins]
-                expected = _asked(lambda ts: [oracle._marginal_probs(t, pins) for t in ts], free)
+                expected = _asked(lambda ts: [reference_marginal(oracle, t, pins) for t in ts], free)
                 if isinstance(expected, str):
                     with pytest.raises(ZeroMeasurePinning):
                         session.marginals(free)
@@ -674,7 +679,7 @@ def _symbol(data, oracle, coord, pins):
     """Mostly a symbol the reference gives positive mass, else any bit."""
     if data.draw(st.integers(0, 3)) > 0:
         try:
-            probs = oracle._marginal_probs(coord, pins)
+            probs = reference_marginal(oracle, coord, pins)
         except ZeroMeasurePinning:
             pass
         else:
@@ -697,7 +702,7 @@ class TestEchelonSessions:
         pins: dict[int, int] = {}
 
         def check(s, target):
-            expected = _answer(lambda t: oracle._marginal_probs(t, pins), target)
+            expected = _answer(lambda t: reference_marginal(oracle, t, pins), target)
             assert _answer(s.marginal, target) == expected
 
         for coord in coords[:k]:
@@ -726,7 +731,7 @@ class TestEchelonSessions:
         coords = data.draw(st.permutations(range(oracle.n)))
         pins: dict[int, int] = {}
         for step, coord in enumerate(coords):
-            probs = oracle._marginal_probs(coord, pins)
+            probs = reference_marginal(oracle, coord, pins)
             if probs.max() == 1.0:
                 break
             pins[coord] = data.draw(st.integers(0, 1))
@@ -741,7 +746,7 @@ class TestEchelonSessions:
             with pytest.raises(MalformedQuery, match="already pinned"):
                 session.pin(coord, 1 - wrong)
             for target in free:
-                expected = _answer(lambda t: oracle._marginal_probs(t, bad), target)
+                expected = _answer(lambda t: reference_marginal(oracle, t, bad), target)
                 assert _answer(session.marginal, target) == expected
                 if isinstance(oracle, HardnessOracle):
                     # Only the contradicted block is refused.
@@ -800,7 +805,7 @@ class TestPinnedCounts:
         # A count leaves the oracle as it was.
         assert oracle._log_probability({}) == 0.0
         assert _answer(oracle.session().marginal, 0) == _answer(
-            lambda t: oracle._marginal_probs(t, {}), 0
+            lambda t: reference_marginal(oracle, t, {}), 0
         )
 
 
@@ -886,7 +891,7 @@ class TestApproximateFold:
             session.pin(coord, sym)
         for target in free:
             expected = _answer(lambda t: _approximate_reference(oracle, t, pins), target)
-            assert _answer(lambda t: oracle._marginal_probs(t, pins), target) == expected
+            assert _answer(lambda t: reference_marginal(oracle, t, pins), target) == expected
             assert _answer(session.marginal, target) == expected
             counts = session._log_counts(target)
             for x in range(oracle.q):
@@ -960,7 +965,7 @@ class TestTableSession:
             for target in free:
                 expected = _answer(lambda t: _moveaxis_marginal(table, t, pins), target)
                 assert _answer(session.marginal, target) == expected
-                assert _answer(lambda t: oracle._marginal_probs(t, pins), target) == expected
+                assert _answer(lambda t: reference_marginal(oracle, t, pins), target) == expected
 
         for coord, sym in pairs:
             check()
@@ -1040,3 +1045,59 @@ class TestPublicQuery:
             assert _answer(lambda t: oracle.conditional_marginal(t, wide), np.int32(0)) == _answer(
                 lambda t: oracle.conditional_marginal(t, pins), 0
             ), label
+
+
+class TestSessionBase:
+    """A session's base pins are checked once, for every family, as a
+    public query checks its pins."""
+
+    @pytest.mark.parametrize("label,oracle", SESSION_FAMILIES)
+    def test_a_malformed_base_is_refused(self, label, oracle):
+        # Out of range at either end (a Markov base at -1 once read its
+        # range products from the end and answered wrongly), a symbol out
+        # of range, and every non-integer, as a mapping and as pairs.
+        bases = [{-1: 0}, {oracle.n: 0}, {0: oracle.q}, {0: -1}]
+        bases += [{bad: 0} for bad in NOT_INTEGERS]
+        bases += [{0: bad} for bad in NOT_INTEGERS]
+        for base in bases:
+            for given_as in (base, list(base.items())):
+                with pytest.raises(MalformedQuery):
+                    oracle.session(given_as)
+
+    @pytest.mark.parametrize("label,oracle", SESSION_FAMILIES)
+    def test_a_numpy_base_is_the_int_base(self, label, oracle):
+        for sym in range(oracle.q):
+            wide = oracle.session({np.int64(1): np.uint8(sym)})
+            plain = oracle.session({1: sym})
+            assert [(type(c), type(s)) for c, s in wide._pins.items()] == [(int, int)], label
+            for target in [0, *range(2, oracle.n)]:
+                assert _answer(wide.marginal, target) == _answer(plain.marginal, target), label
+
+
+def _concrete_oracle_classes() -> list[type]:
+    """Every concrete ``ConditionalOracle`` subclass defined in the package."""
+    for module in pkgutil.iter_modules(countsample.__path__):
+        importlib.import_module(f"countsample.{module.name}")
+    found, stack = [], [ConditionalOracle]
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if cls.__module__.startswith("countsample.") and not inspect.isabstract(cls):
+            found.append(cls)
+    return found
+
+
+class TestOneQueryPath:
+    def test_every_family_overrides_exactly_one_query_method(self):
+        # ``session`` (a session that reuses its pinning) or
+        # ``_marginal_probs`` (from scratch, under the default session):
+        # never both, which would be a second query path, and never
+        # neither, where each default would call the other forever.
+        classes = _concrete_oracle_classes()
+        assert {cls.variant for cls in classes} == {
+            "table", "product", "markov", "paircopy", "affine", "grid", "hardness", "approximate"
+        }
+        for cls in classes:
+            own_session = cls.session is not ConditionalOracle.session
+            own_marginal = cls._marginal_probs is not ConditionalOracle._marginal_probs
+            assert own_session != own_marginal, cls.__name__

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import dependent_affines, empirical_tv, session_families
+from support import dependent_affines, empirical_tv, reference_marginal, session_families
 from countsample import rng
 from countsample import sampler as sampler_mod
 from countsample.coupler import CouplerKind, Tape, couple_probs
@@ -296,7 +296,7 @@ def test_random_families_cover_the_session_families():
 
 def _reference_values(oracle, config):
     """Position ``i`` coupled, on the tape keyed by ``(seed, i)``, against
-    the reference ``_marginal_probs`` of its coordinate under the final
+    the from-scratch reference marginal of its coordinate under the final
     values of positions ``1..i-1``: no session, no tape reuse."""
     n = oracle.n
     if config.permutation is PermutationMode.IDENTITY:
@@ -306,7 +306,7 @@ def _reference_values(oracle, config):
     values = [0] * n
     pins = {}
     for i, coord in enumerate(perm, start=1):
-        probs = oracle._marginal_probs(coord, pins)
+        probs = reference_marginal(oracle, coord, pins)
         values[coord] = pins[coord] = couple_probs(config.coupler, probs, config.seed, i)
     return tuple(values)
 
@@ -367,7 +367,7 @@ def test_float_edge_answers_are_exact_or_refused(label, oracle):
             probs = oracle.session(pins).marginal(target)
             assert np.isfinite(probs).all() and (probs >= 0.0).all(), (label, pins, target)
             assert abs(probs.sum() - 1.0) <= 1e-12, (label, pins, target)
-            assert probs.tobytes() == oracle._marginal_probs(target, pins).tobytes()
+            assert probs.tobytes() == reference_marginal(oracle, target, pins).tobytes()
     for seed in range(50):
         for kind in COUPLERS:
             expected = sequential_sample(oracle, SamplerConfig(seed=seed, coupler=kind))[0]
@@ -691,7 +691,7 @@ def _per_position_abar(oracle, config: SamplerConfig, i: int) -> int:
     final = sample.values[coord_i]
     for a in range(i - 1, -1, -1):
         pins = {perm[j - 1]: sample.values[perm[j - 1]] for j in range(1, a + 1)}
-        probs = oracle._marginal_probs(coord_i, pins)
+        probs = reference_marginal(oracle, coord_i, pins)
         if couple_probs(config.coupler, probs, config.seed, i) != final:
             return a
     return 0
